@@ -51,7 +51,7 @@ use wile_scenarios::campaign::reference::run_campaign_reference;
 use wile_scenarios::campaign::{run_campaign_telemetry, run_campaigns, AdaptMode, CampaignConfig};
 use wile_scenarios::chaos::{run_chaos, ChaosConfig};
 use wile_scenarios::fig3;
-use wile_scenarios::metro::{run_metro, run_metro_direct, run_metro_with_telemetry, MetroConfig};
+use wile_scenarios::metro::{run_metro, run_metro_direct, run_metro_with, MetroConfig};
 use wile_scenarios::mixed::{run_mixed, MixedConfig};
 use wile_telemetry::{Json, Telemetry};
 
@@ -338,7 +338,7 @@ fn bench_telemetry(c: &mut Criterion) {
     // Differential witness before timing: observation changes nothing.
     let plain = run_metro(&cfg, workers);
     let mut probe_tel = Telemetry::new();
-    let observed = run_metro_with_telemetry(&cfg, workers, &mut probe_tel);
+    let observed = run_metro_with(&cfg, workers, &mut probe_tel, None);
     assert_eq!(
         plain.delivery_digest, observed.delivery_digest,
         "telemetry steered the run"
@@ -349,7 +349,7 @@ fn bench_telemetry(c: &mut Criterion) {
     let off_s = median_s(reps, || run_metro(&cfg, workers).delivery_digest);
     let on_s = median_s(reps, || {
         let mut tel = Telemetry::new();
-        let digest = run_metro_with_telemetry(&cfg, workers, &mut tel).delivery_digest;
+        let digest = run_metro_with(&cfg, workers, &mut tel, None).delivery_digest;
         digest ^ tel.report().digest()
     });
     let overhead_pct = (on_s / off_s - 1.0) * 100.0;
@@ -368,7 +368,7 @@ fn bench_telemetry(c: &mut Criterion) {
     g.bench_function("metro_telemetry_on", |b| {
         b.iter(|| {
             let mut tel = Telemetry::new();
-            black_box(run_metro_with_telemetry(&small, workers, &mut tel).delivery_digest)
+            black_box(run_metro_with(&small, workers, &mut tel, None).delivery_digest)
         })
     });
     g.finish();

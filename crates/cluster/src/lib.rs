@@ -34,16 +34,19 @@
 //! lost_in_crash + buffered == hears` after every poll (all fault terms
 //! zero ⇒ the original law).
 //!
-//! [`GatewayCluster`] is the facade tying it together; the metro
-//! scenario in `wile-scenarios` drives it at 8 gateways × 20 000
-//! devices (experiment E11), and the chaos-metro scenario replays the
-//! same world through a full fault campaign (experiment E13).
+//! [`GatewayCluster`] is the facade tying it together, and
+//! [`PollTrain`] is the one schedule every runner polls it on: the
+//! metro scenario in `wile-scenarios` at 8 gateways × 20 000 devices
+//! (experiment E11), the chaos-metro scenario through a full fault
+//! campaign (experiment E13), and the `wile-gatewayd` daemon fed from
+//! the wire.
 
 pub mod aggregator;
 pub mod cluster;
 pub mod faults;
 pub mod queue;
 pub mod report;
+pub mod train;
 
 pub use aggregator::{ClusterAggregator, ClusterStats, LaneStats, RoamingConfig};
 pub use cluster::{ClusterConfig, GatewayCluster, LaneEvent, LaneEventRecord};
@@ -52,4 +55,5 @@ pub use faults::{
     UnifiedDisturbance, UnifiedPhase,
 };
 pub use queue::ReportQueue;
-pub use report::{ClusterDelivery, GatewayReport};
+pub use report::{fold_delivery, ClusterDelivery, GatewayReport, FNV_OFFSET};
+pub use train::{PollTrain, Polled};

@@ -74,3 +74,29 @@ pub struct ClusterDelivery {
     /// does not count).
     pub handoff: bool,
 }
+
+/// FNV-1a offset basis — the seed value every delivery digest starts
+/// from (see [`fold_delivery`]).
+pub const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// Fold one delivery into the FNV-1a digest. Every runner of the
+/// cluster — the metro, chaos and mixed scenarios and the
+/// `wile-gatewayd` core, all through [`crate::PollTrain`] — uses this
+/// single definition; digest equality is the compact byte-identity
+/// witness across all of them.
+pub fn fold_delivery(h: &mut u64, d: &ClusterDelivery) {
+    let mut fold = |v: u64| {
+        *h ^= v;
+        *h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    };
+    fold(d.device_id as u64);
+    fold(d.seq as u64);
+    fold(d.at.as_nanos());
+    fold(d.gateway as u64);
+    fold(d.rssi_dbm.to_bits());
+    fold(u64::from(d.encrypted) << 1 | u64::from(d.handoff));
+    fold(d.payload.len() as u64);
+    for &b in &d.payload {
+        fold(b as u64);
+    }
+}

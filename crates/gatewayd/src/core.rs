@@ -12,22 +12,20 @@
 //! byte for byte, asserted against the in-process cluster by
 //! `tests/gatewayd_diff.rs`.
 //!
-//! The poll train mirrors the metro scenario's `ClusterSink` precisely:
-//! the first poll is due at `ZERO + poll_every` unconditionally, each
-//! poll at `t` reschedules `(t + poll_every).min(horizon)` while
-//! `t < horizon`, and the final poll lands exactly on the horizon.
-//! Within a poll the order is: drain staged lanes → fold deliveries
-//! into the digest → retain → evict stale devices. Any deviation would
-//! shift an aggregation batch boundary and change an election.
+//! The core owns only the front door — lane, staleness and ordering
+//! checks, per-lane staging, and the frame ledger. When and how the
+//! cluster is polled is [`PollTrain`], the one definition of the
+//! schedule that the in-process scenarios run too; the core feeds it
+//! the staged lanes instead of a medium.
 
 use crate::wire::WcapHeader;
 use std::collections::VecDeque;
 use std::fmt;
 use wile::monitor::{Gateway, GatewayStats};
-use wile_cluster::{ClusterConfig, ClusterDelivery, ClusterStats, GatewayCluster, RoamingConfig};
+use wile_cluster::{ClusterConfig, ClusterDelivery, ClusterStats, GatewayCluster, PollTrain};
 use wile_radio::medium::{RadioId, RxFrame};
 use wile_radio::time::{Duration, Instant};
-use wile_scenarios::metro::{fold_delivery, MetroReport, FNV_OFFSET};
+use wile_scenarios::metro::MetroReport;
 use wile_sim::ingest::GatewayIngest;
 use wile_telemetry::{LabelValue, Registry};
 
@@ -233,37 +231,25 @@ impl GatewaydReport {
 /// exactness contract.
 pub struct GatewaydCore {
     cfg: GatewaydConfig,
-    cluster: GatewayCluster,
+    train: PollTrain,
     /// Per-lane staged frames, non-decreasing by stamp; a poll at `t`
     /// consumes every staged frame with `at <= t`.
     staged: Vec<VecDeque<RxFrame>>,
     /// Per-lane last staged stamp (monotonicity guard).
     last_at: Vec<Option<Instant>>,
-    /// Last executed poll.
-    polled: Option<Instant>,
-    /// Next due poll.
-    next_poll: Instant,
-    finished: bool,
-    digest: u64,
-    deliveries: Vec<ClusterDelivery>,
-    evicted: Vec<u32>,
     poll_log: Vec<PollRecord>,
     frames_in: u64,
     rejected: u64,
-    polls: u64,
 }
 
 impl GatewaydCore {
-    /// A fresh core: empty cluster lanes, first poll due at
-    /// `ZERO + poll_every` (the metro schedule, unconditionally — even
-    /// a degenerate horizon gets its one poll).
+    /// A fresh core: empty cluster lanes on a [`PollTrain`], first poll
+    /// due at `ZERO + poll_every`.
     pub fn new(cfg: GatewaydConfig) -> Self {
         assert!(cfg.gateways >= 1, "a cluster needs at least one lane");
         assert!(cfg.workers >= 1);
         let mut cluster = GatewayCluster::new(ClusterConfig {
             queue_capacity: cfg.queue_capacity,
-            roaming: RoamingConfig::default(),
-            shards: 8,
             stale_after: cfg.stale_after,
             ..Default::default()
         });
@@ -273,22 +259,21 @@ impl GatewaydCore {
         for i in 0..cfg.gateways {
             cluster.add_gateway(GatewayIngest::new(RadioId(i as u32), Gateway::new()));
         }
-        let next_poll = Instant::ZERO + cfg.poll_every;
+        let train = PollTrain::new(
+            cluster,
+            cfg.workers,
+            cfg.poll_every,
+            cfg.horizon,
+            cfg.keep_deliveries,
+        );
         GatewaydCore {
+            train,
             staged: (0..cfg.gateways).map(|_| VecDeque::new()).collect(),
             last_at: vec![None; cfg.gateways],
-            polled: None,
-            next_poll,
-            finished: false,
-            digest: FNV_OFFSET,
-            deliveries: Vec::new(),
-            evicted: Vec::new(),
             poll_log: Vec::new(),
             frames_in: 0,
             rejected: 0,
-            polls: 0,
             cfg,
-            cluster,
         }
     }
 
@@ -299,7 +284,7 @@ impl GatewaydCore {
 
     /// Whether the final poll has executed.
     pub fn finished(&self) -> bool {
-        self.finished
+        self.train.next_due().is_none()
     }
 
     /// Frames offered so far (accepted + rejected).
@@ -319,12 +304,12 @@ impl GatewaydCore {
 
     /// Running FNV-1a digest over deliveries so far.
     pub fn digest(&self) -> u64 {
-        self.digest
+        self.train.digest()
     }
 
     /// Polls executed so far.
     pub fn polls(&self) -> u64 {
-        self.polls
+        self.train.polls()
     }
 
     /// Drain the accumulated poll log (empty unless
@@ -346,7 +331,7 @@ impl GatewaydCore {
         out: &mut Vec<ClusterDelivery>,
     ) -> Result<(), IngestError> {
         self.frames_in += 1;
-        if self.finished {
+        if self.finished() {
             self.rejected += 1;
             return Err(IngestError::Finished);
         }
@@ -360,10 +345,10 @@ impl GatewaydCore {
         // A frame stamped exactly on the next poll boundary belongs to
         // that poll (drains are inclusive), so only strictly-later
         // stamps release it.
-        while !self.finished && self.next_poll < frame.at {
+        while self.train.next_due().is_some_and(|t| t < frame.at) {
             self.run_poll(out);
         }
-        if let Some(p) = self.polled {
+        if let Some(p) = self.train.last_poll() {
             if frame.at <= p {
                 self.rejected += 1;
                 return Err(IngestError::Stale {
@@ -387,15 +372,14 @@ impl GatewaydCore {
     /// Run every poll due at or before `to` (an explicit watermark —
     /// the wire `Advance` record, or the daemon's end-of-stream drain).
     pub fn advance_to(&mut self, to: Instant, out: &mut Vec<ClusterDelivery>) {
-        while !self.finished && self.next_poll <= to {
+        while self.train.next_due().is_some_and(|t| t <= to) {
             self.run_poll(out);
         }
     }
 
-    /// The ISSUE-shaped convenience step: offer a batch of stamped
-    /// frames, then advance to `now`. Returns the deliveries the step
-    /// produced and the per-frame rejections (paired with the input
-    /// index).
+    /// Convenience step: offer a batch of stamped frames, then advance
+    /// to `now`. Returns the deliveries the step produced and the
+    /// per-frame rejections (paired with the input index).
     pub fn step(
         &mut self,
         now: Instant,
@@ -417,31 +401,38 @@ impl GatewaydCore {
     /// Frames still staged afterwards are stamped past the horizon and
     /// counted as `late`.
     pub fn finish(mut self, out: &mut Vec<ClusterDelivery>) -> GatewaydReport {
-        while !self.finished {
+        while !self.finished() {
             self.run_poll(out);
         }
         let late = self.staged_frames() as u64;
-        let stats = self.cluster.stats();
+        let polls = self.train.polls();
+        let delivery_digest = self.train.digest();
+        let sim_end = self
+            .train
+            .last_poll()
+            .expect("finish() executes at least one poll");
+        let (cluster, deliveries, evicted) = self.train.into_parts();
+        let stats = cluster.stats();
         assert!(
             stats.conserves_offered_load(),
             "delivered + suppressions + drops must equal hears: {stats:?}"
         );
         let gateway_stats: Vec<GatewayStats> = (0..self.cfg.gateways)
-            .map(|i| self.cluster.ingest(i).gateway().stats())
+            .map(|i| cluster.ingest(i).gateway().stats())
             .collect();
         let report = GatewaydReport {
             gateways: self.cfg.gateways,
             frames_in: self.frames_in,
             rejected: self.rejected,
             late,
-            polls: self.polls,
+            polls,
             stats,
             gateway_stats,
-            deliveries: self.deliveries,
-            delivery_digest: self.digest,
-            evicted: self.evicted,
+            deliveries,
+            delivery_digest,
+            evicted,
             poll_log: self.poll_log,
-            sim_end: self.polled.expect("finish() executes at least one poll"),
+            sim_end,
         };
         assert!(
             report.frames_ledger_closes(),
@@ -456,43 +447,27 @@ impl GatewaydCore {
     /// Record the pipeline's counters into a telemetry registry: the
     /// full cluster/gateway set plus the daemon-front-door ledger.
     pub fn record_telemetry(&self, reg: &mut Registry) {
-        self.cluster.record_telemetry(reg);
+        self.train.cluster().record_telemetry(reg);
         reg.counter_set("gatewayd.frames_in", &[], self.frames_in);
         reg.counter_set("gatewayd.rejected", &[], self.rejected);
-        reg.counter_set("gatewayd.polls", &[], self.polls);
+        reg.counter_set("gatewayd.polls", &[], self.train.polls());
         reg.gauge_set("gatewayd.staged", &[], self.staged_frames() as i64);
     }
 
-    /// One poll, mirroring metro's `ClusterSink::on_event` order:
-    /// drain → fold digest → retain → evict stale.
+    /// One poll of the train, fed from the staged lanes.
     fn run_poll(&mut self, out: &mut Vec<ClusterDelivery>) {
-        let t = self.next_poll;
-        let got = self
-            .cluster
-            .poll_staged(&mut self.staged, None, t, self.cfg.workers);
-        for d in &got {
-            fold_delivery(&mut self.digest, d);
-        }
-        if self.cfg.keep_deliveries {
-            self.deliveries.extend(got.iter().cloned());
-        }
-        let evicted = self.cluster.evict_stale(t);
+        let staged = &mut self.staged;
+        let polled = self
+            .train
+            .poll(|cluster, at, workers| cluster.poll_staged(staged, None, at, workers));
         if self.cfg.log_polls {
             self.poll_log.push(PollRecord {
-                at: t,
-                delivered: got.len() as u64,
-                evicted: evicted.len() as u64,
+                at: polled.at,
+                delivered: polled.deliveries.len() as u64,
+                evicted: polled.evicted as u64,
             });
         }
-        out.extend(got);
-        self.evicted.extend(evicted);
-        self.polls += 1;
-        self.polled = Some(t);
-        if t < self.cfg.horizon {
-            self.next_poll = (t + self.cfg.poll_every).min(self.cfg.horizon);
-        } else {
-            self.finished = true;
-        }
+        out.extend(polled.deliveries);
     }
 }
 

@@ -107,6 +107,11 @@ pub enum WireError {
     BadVersion(u16),
     /// A frame record with zero frame bytes (no such 802.11 frame).
     EmptyFrame,
+    /// Header declaring a cluster with no lanes.
+    ZeroGateways,
+    /// Header declaring a zero poll cadence (the poll train would never
+    /// advance).
+    ZeroPollEvery,
 }
 
 impl fmt::Display for WireError {
@@ -125,6 +130,8 @@ impl fmt::Display for WireError {
                 )
             }
             WireError::EmptyFrame => write!(f, "frame record with zero frame bytes"),
+            WireError::ZeroGateways => write!(f, "capture header declares zero gateways"),
+            WireError::ZeroPollEvery => write!(f, "capture header declares a zero poll cadence"),
         }
     }
 }
@@ -197,11 +204,18 @@ impl WireRecord {
                     return Err(WireError::BadVersion(version));
                 }
                 let gateways = u32::from_le_bytes(rest[6..10].try_into().unwrap());
+                if gateways == 0 {
+                    return Err(WireError::ZeroGateways);
+                }
+                let poll_every = Duration::from_nanos(read_u64(rest, 18));
+                if poll_every == Duration::ZERO {
+                    return Err(WireError::ZeroPollEvery);
+                }
                 let cap = read_u64(rest, 10);
                 Ok(WireRecord::Header(WcapHeader {
                     gateways,
                     queue_capacity: (cap != UNBOUNDED).then_some(cap as usize),
-                    poll_every: Duration::from_nanos(read_u64(rest, 18)),
+                    poll_every,
                     stale_after: Duration::from_nanos(read_u64(rest, 26)),
                     horizon: Instant::from_nanos(read_u64(rest, 34)),
                     seed: read_u64(rest, 42),
@@ -342,5 +356,29 @@ mod tests {
         body.extend_from_slice(&7u16.to_le_bytes());
         body.extend_from_slice(&[0u8; 52]);
         assert_eq!(WireRecord::decode(&body), Err(WireError::BadVersion(7)));
+        // Headers that would size a session the core cannot run.
+        let header_body = |h: WcapHeader| {
+            let mut wire = Vec::new();
+            WireRecord::Header(h).encode(&mut wire);
+            let mut dec = FrameDecoder::new();
+            dec.push(&wire);
+            dec.next_record().unwrap().unwrap()
+        };
+        let no_lanes = WcapHeader {
+            gateways: 0,
+            ..sample_header()
+        };
+        assert_eq!(
+            WireRecord::decode(&header_body(no_lanes)),
+            Err(WireError::ZeroGateways)
+        );
+        let no_cadence = WcapHeader {
+            poll_every: Duration::ZERO,
+            ..sample_header()
+        };
+        assert_eq!(
+            WireRecord::decode(&header_body(no_cadence)),
+            Err(WireError::ZeroPollEvery)
+        );
     }
 }

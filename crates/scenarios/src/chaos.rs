@@ -29,22 +29,17 @@
 //! that every faulted run is byte-identical across worker counts.
 
 use crate::metro::{
-    beacons_sent, build_world, fold_delivery, FrameTap, MetroConfig, MetroEv, MetroReport,
-    FNV_OFFSET,
+    build_world, cluster_config, drive, FrameTap, MetroConfig, MetroEv, MetroReport, PollAudit,
 };
 use std::collections::HashSet;
-use wile::monitor::Gateway;
 use wile_cluster::{
-    split_unified, ClusterConfig, ClusterDelivery, ClusterDisturbance, ClusterFaultPlan,
-    ClusterStats, GatewayCluster, LaneEvent, LaneEventRecord, PartitionPolicy, RoamingConfig,
-    UnifiedPhase,
+    split_unified, ClusterConfig, ClusterDisturbance, ClusterFaultPlan, ClusterStats,
+    GatewayCluster, LaneEvent, LaneEventRecord, PartitionPolicy, Polled, UnifiedPhase,
 };
-use wile_radio::medium::RxFrame;
 use wile_radio::plan::Disturbance;
 use wile_radio::time::{Duration, Instant};
-use wile_sim::ingest::GatewayIngest;
-use wile_sim::kernel::{Actor, Ctx};
-use wile_telemetry::Telemetry;
+use wile_sim::kernel::Ctx;
+use wile_telemetry::{Registry, Telemetry};
 
 /// Chaos campaign configuration: a metro world plus the two halves of
 /// a unified fault timeline and the recovery knobs.
@@ -178,7 +173,7 @@ impl ChaosConfig {
 
 /// Per-fault-phase slice of the run's counters (cluster-wide deltas of
 /// every poll landing inside the phase window).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PhaseOutcome {
     /// Phase label from the plan.
     pub label: String,
@@ -255,30 +250,6 @@ pub struct ChaosReport {
     pub duplicate_deliveries: u64,
 }
 
-/// Running totals the sink diffs between polls for phase attribution.
-#[derive(Debug, Clone, Copy, Default)]
-struct Totals {
-    delivered: u64,
-    hears: u64,
-    suppressions: u64,
-    queue_drops: u64,
-    shed: u64,
-    lost_in_crash: u64,
-}
-
-impl Totals {
-    fn of(s: &ClusterStats) -> Self {
-        Totals {
-            delivered: s.delivered,
-            hears: s.total_hears(),
-            suppressions: s.total_suppressions(),
-            queue_drops: s.total_drops(),
-            shed: s.total_shed(),
-            lost_in_crash: s.total_lost_in_crash(),
-        }
-    }
-}
-
 /// An in-flight crash-recovery measurement.
 struct RecoveryProbe {
     crashed_at: Instant,
@@ -289,30 +260,60 @@ struct RecoveryProbe {
     done: bool,
 }
 
-/// The chaos sink: the cluster sink's exact poll train (the oracle
-/// depends on it), plus lane-event tracing, per-phase accounting, and
-/// the at-most-once / conservation audits.
-struct ChaosSink {
-    cluster: GatewayCluster,
-    workers: usize,
-    poll_every: Duration,
+/// The chaos audit: lane-event tracing, per-phase accounting, recovery
+/// probes, and the at-most-once / conservation audits. It observes the
+/// metro runner's poll train after every poll and never drives it — the
+/// schedule and the poll body are [`wile_cluster::PollTrain`]'s alone,
+/// which is what keeps an empty-plan chaos run byte-identical to plain
+/// metro.
+struct ChaosAudit {
     horizon: Instant,
-    keep: bool,
-    deliveries: Vec<ClusterDelivery>,
-    digest: u64,
-    peak_live_tx: usize,
-    evicted: Vec<u32>,
-    // --- chaos extras ---
     seen: HashSet<(u32, u16)>,
     dupes: u64,
-    prev: Totals,
+    /// Cluster counters at the previous poll.
+    prev: ClusterStats,
     phases: Vec<PhaseOutcome>,
     lane_events: Vec<LaneEventRecord>,
     probes: Vec<Option<RecoveryProbe>>,
     recoveries: Vec<LaneRecovery>,
-    /// Raw-frame observation hook (`.wcap` capture); `None` on every
-    /// path that doesn't record.
-    tap: Option<FrameTap>,
+}
+
+impl ChaosAudit {
+    fn new(cfg: &ChaosConfig) -> Self {
+        // Phase windows from both halves of the unified timeline, in
+        // timeline order.
+        let infra = cfg
+            .infra
+            .phases()
+            .iter()
+            .map(|p| (p.label.clone(), p.disturbance.tag(), p.start, p.end));
+        let air = cfg.metro.faults.iter().flat_map(|plan| {
+            plan.phases()
+                .iter()
+                .map(|p| (p.label.clone(), p.disturbance.tag(), p.start, p.end))
+        });
+        let mut phases: Vec<PhaseOutcome> = infra
+            .chain(air)
+            .map(|(label, tag, start, end)| PhaseOutcome {
+                label,
+                tag,
+                start,
+                end,
+                ..Default::default()
+            })
+            .collect();
+        phases.sort_by_key(|a| (a.start, a.end));
+        ChaosAudit {
+            horizon: Instant::ZERO + cfg.metro.duration + cfg.metro.period,
+            seen: HashSet::new(),
+            dupes: 0,
+            prev: ClusterStats::default(),
+            phases,
+            lane_events: Vec::new(),
+            probes: (0..cfg.metro.gateways).map(|_| None).collect(),
+            recoveries: Vec::new(),
+        }
+    }
 }
 
 /// Span/trace key for a lane: distinct from every actor id (actors
@@ -321,46 +322,31 @@ fn lane_key(lane: usize) -> u32 {
     u32::MAX - lane as u32
 }
 
-impl Actor<MetroEv> for ChaosSink {
-    fn on_event(&mut self, now: Instant, _ev: MetroEv, ctx: &mut Ctx<'_, MetroEv>) {
-        // Mirror of metro's ClusterSink poll train, byte for byte.
-        let got = self.cluster.poll_tapped(
-            ctx.medium,
-            ctx.faults.as_deref_mut(),
-            now,
-            self.workers,
-            self.tap
-                .as_mut()
-                .map(|t| &mut **t as &mut dyn FnMut(usize, &RxFrame)),
-        );
-        ctx.emit("poll_delivered", got.len() as u64);
-        for d in &got {
-            fold_delivery(&mut self.digest, d);
-            ctx.telemetry.observe(
-                "metro.delivery.atten_db",
-                &[],
-                (-d.rssi_dbm).max(0.0).round() as u64,
-            );
-            // At-most-once audit across every crash/restore/flush.
+impl PollAudit for ChaosAudit {
+    fn after_poll(
+        &mut self,
+        polled: &Polled,
+        cluster: &mut GatewayCluster,
+        ctx: &mut Ctx<'_, MetroEv>,
+    ) {
+        let now = polled.at;
+        // At-most-once audit across every crash/restore/flush.
+        for d in &polled.deliveries {
             if !self.seen.insert((d.device_id, d.seq)) {
                 self.dupes += 1;
             }
         }
-        if self.keep {
-            self.deliveries.extend(got);
-        }
-        self.evicted.extend(self.cluster.evict_stale(now));
 
         // Conservation must hold after *every* poll, mid-fault
         // included (the buffered term is what keeps partitions honest).
-        let stats = self.cluster.stats();
+        let stats = cluster.stats();
         assert!(
             stats.conserves_offered_load(),
             "extended conservation violated at {now:?}: {stats:?}"
         );
 
         // Lane transitions → trace events, spans, recovery probes.
-        for rec in self.cluster.take_lane_events() {
+        for rec in cluster.take_lane_events() {
             match &rec.event {
                 LaneEvent::Down { lost, .. } => {
                     ctx.emit("lane.down", rec.lane as u64);
@@ -371,11 +357,15 @@ impl Actor<MetroEv> for ChaosSink {
                         "lane.lost_in_crash",
                         *lost,
                     );
+                    // The lane's wins at the previous poll: the right
+                    // baseline even when the restart lands in this
+                    // same poll.
+                    let wins_baseline = self.prev.lanes.get(rec.lane).map_or(0, |l| l.wins);
                     self.probes[rec.lane] = Some(RecoveryProbe {
                         crashed_at: rec.at,
                         restarted_at: None,
                         restored: false,
-                        wins_baseline: self.prev.delivered, // placeholder until Up
+                        wins_baseline,
                         done: false,
                     });
                 }
@@ -413,15 +403,15 @@ impl Actor<MetroEv> for ChaosSink {
         // *at* a window's start carries its onset (a crash's queue
         // wipe), the poll at its end the tail (a partition's flush, a
         // crash's restart).
-        let t = Totals::of(&stats);
+        let (s, prev) = (&stats, &self.prev);
         for p in self.phases.iter_mut() {
             if now >= p.start && now <= p.end {
-                p.delivered += t.delivered - self.prev.delivered;
-                p.hears += t.hears - self.prev.hears;
-                p.suppressions += t.suppressions - self.prev.suppressions;
-                p.queue_drops += t.queue_drops - self.prev.queue_drops;
-                p.shed += t.shed - self.prev.shed;
-                p.lost_in_crash += t.lost_in_crash - self.prev.lost_in_crash;
+                p.delivered += s.delivered - prev.delivered;
+                p.hears += s.total_hears() - prev.total_hears();
+                p.suppressions += s.total_suppressions() - prev.total_suppressions();
+                p.queue_drops += s.total_drops() - prev.total_drops();
+                p.shed += s.total_shed() - prev.total_shed();
+                p.lost_in_crash += s.total_lost_in_crash() - prev.total_lost_in_crash();
             }
         }
 
@@ -450,14 +440,13 @@ impl Actor<MetroEv> for ChaosSink {
                 }
             }
         }
-        self.prev = t;
+        self.prev = stats;
+    }
 
-        ctx.medium.release_all(now);
-        self.peak_live_tx = self.peak_live_tx.max(ctx.medium.live_tx_count());
-        if now < self.horizon {
-            let next = (now + self.poll_every).min(self.horizon);
-            ctx.schedule(next, ctx.self_id(), MetroEv::Poll);
-        }
+    fn record_telemetry(&self, reg: &mut Registry) {
+        reg.counter_set("chaos.lane_events", &[], self.lane_events.len() as u64);
+        reg.counter_set("chaos.duplicates", &[], self.dupes);
+        reg.counter_set("chaos.recoveries", &[], self.recoveries.len() as u64);
     }
 }
 
@@ -467,168 +456,53 @@ impl Actor<MetroEv> for ChaosSink {
 /// [`crate::metro::run_metro`] byte for byte.
 pub fn run_chaos(cfg: &ChaosConfig, workers: usize) -> ChaosReport {
     let mut tel = Telemetry::off();
-    run_chaos_with_telemetry(cfg, workers, &mut tel)
+    run_chaos_with(cfg, workers, &mut tel, None)
 }
 
 /// [`run_chaos`], additionally folding the run's telemetry into `tel`
 /// (everything the metro runner records, plus crash/recovery/shed
-/// counters and `lane.down` / `lane.partitioned` spans).
-pub fn run_chaos_with_telemetry(
-    cfg: &ChaosConfig,
-    workers: usize,
-    tel: &mut Telemetry,
-) -> ChaosReport {
-    run_chaos_with(cfg, workers, tel, None)
-}
-
-/// The fully general chaos runner: telemetry *and* an optional
-/// [`FrameTap`] observing the raw per-lane frame stream (the `.wcap`
+/// counters and `lane.down` / `lane.partitioned` spans) and feeding an
+/// optional [`FrameTap`] the raw per-lane frame stream (the `.wcap`
 /// capture hook, firing on every frame the radios hear — including
-/// frames a crashed lane's process never ingests). `tap = None` is
-/// exactly [`run_chaos_with_telemetry`].
+/// frames a crashed lane's process never ingests). It is the metro
+/// runner with the fault plan armed and the chaos audit riding the
+/// poll train.
 pub fn run_chaos_with(
     cfg: &ChaosConfig,
     workers: usize,
     tel: &mut Telemetry,
     tap: Option<FrameTap>,
 ) -> ChaosReport {
-    let (mut kernel, gw_radios, mut registry, fleet) = build_world(&cfg.metro);
-    if tel.enabled() {
-        let mut kt = Telemetry::new();
-        kt.set_trace_enabled(tel.trace().enabled());
-        kernel.set_telemetry(kt);
-    }
-
-    let lanes = gw_radios.len();
     let mut cluster = GatewayCluster::new(ClusterConfig {
-        queue_capacity: cfg.metro.queue_capacity,
-        roaming: RoamingConfig::default(),
-        shards: 8,
-        stale_after: cfg.metro.stale_after,
         partition: cfg.partition,
         checkpoint_every: cfg.checkpoint_every,
+        ..cluster_config(&cfg.metro)
     });
-    if tel.enabled() {
-        cluster.enable_telemetry();
-    }
-    for radio in gw_radios {
-        cluster.add_gateway(GatewayIngest::new(radio, Gateway::new()));
-    }
     cluster.set_faults(cfg.infra.clone());
-
-    // Phase windows from both halves of the unified timeline, in
-    // timeline order.
-    let mut phases: Vec<PhaseOutcome> = cfg
-        .infra
-        .phases()
-        .iter()
-        .map(|p| PhaseOutcome {
-            label: p.label.clone(),
-            tag: p.disturbance.tag(),
-            start: p.start,
-            end: p.end,
-            delivered: 0,
-            hears: 0,
-            suppressions: 0,
-            queue_drops: 0,
-            shed: 0,
-            lost_in_crash: 0,
-        })
-        .collect();
-    if let Some(air) = &cfg.metro.faults {
-        phases.extend(air.phases().iter().map(|p| PhaseOutcome {
-            label: p.label.clone(),
-            tag: p.disturbance.tag(),
-            start: p.start,
-            end: p.end,
-            delivered: 0,
-            hears: 0,
-            suppressions: 0,
-            queue_drops: 0,
-            shed: 0,
-            lost_in_crash: 0,
-        }));
-    }
-    phases.sort_by_key(|a| (a.start, a.end));
-
-    let horizon = Instant::ZERO + cfg.metro.duration + cfg.metro.period;
-    let sink = kernel.add_actor(ChaosSink {
+    let world = build_world(&cfg.metro);
+    let (metro, audit) = drive(
+        &cfg.metro,
+        world,
         cluster,
         workers,
-        poll_every: cfg.metro.poll_every,
-        horizon,
-        keep: cfg.metro.keep_deliveries,
-        deliveries: Vec::new(),
-        digest: FNV_OFFSET,
-        peak_live_tx: 0,
-        evicted: Vec::new(),
-        seen: HashSet::new(),
-        dupes: 0,
-        prev: Totals::default(),
-        phases,
-        lane_events: Vec::new(),
-        probes: (0..lanes).map(|_| None).collect(),
-        recoveries: Vec::new(),
+        tel,
         tap,
-    });
-    kernel.schedule(Instant::ZERO + cfg.metro.poll_every, sink, MetroEv::Poll);
-
-    kernel.run();
-
-    let beacons = beacons_sent(&mut kernel, fleet);
-    let sink = kernel.remove_actor::<ChaosSink>(sink);
-    let stats = sink.cluster.stats();
-    assert!(
-        stats.conserves_offered_load(),
-        "extended conservation must hold at end of run: {stats:?}"
+        ChaosAudit::new(cfg),
     );
-    assert_eq!(sink.dupes, 0, "at-most-once violated");
-    if cfg.infra.end() <= horizon {
+    assert_eq!(audit.dupes, 0, "at-most-once violated");
+    if cfg.infra.end() <= audit.horizon {
         // Every partition has healed and flushed: the buffered term is
-        // zero and the ledger closes exactly.
+        // zero, so the conservation law the runner asserted closes
+        // exactly without it.
+        let stats = &metro.stats;
         assert_eq!(stats.total_buffered(), 0, "backhaul not drained: {stats:?}");
-        assert_eq!(
-            stats.delivered
-                + stats.total_suppressions()
-                + stats.total_drops()
-                + stats.total_shed()
-                + stats.total_lost_in_crash(),
-            stats.total_hears(),
-        );
-    }
-    if tel.enabled() {
-        kernel.flush_telemetry();
-        let reg = kernel.telemetry_mut().registry_mut();
-        sink.cluster.record_telemetry(reg);
-        reg.counter_set("metro.beacons_sent", &[], beacons);
-        reg.counter_set("metro.evicted", &[], sink.evicted.len() as u64);
-        reg.gauge_set("metro.peak_live_tx", &[], sink.peak_live_tx as i64);
-        reg.counter_set("chaos.lane_events", &[], sink.lane_events.len() as u64);
-        reg.counter_set("chaos.duplicates", &[], sink.dupes);
-        reg.counter_set("chaos.recoveries", &[], sink.recoveries.len() as u64);
-        tel.merge_from(kernel.telemetry());
-    }
-    for id in &sink.evicted {
-        registry.remove(*id);
     }
     ChaosReport {
-        metro: MetroReport {
-            gateways: cfg.metro.gateways,
-            devices: cfg.metro.devices,
-            beacons_sent: beacons,
-            stats,
-            deliveries: sink.deliveries,
-            delivery_digest: sink.digest,
-            peak_live_tx: sink.peak_live_tx,
-            retired_tx: kernel.medium().retired_tx_count(),
-            evicted: sink.evicted,
-            registry_devices: registry.len(),
-            sim_end: kernel.now(),
-        },
-        phases: sink.phases,
-        recoveries: sink.recoveries,
-        lane_events: sink.lane_events,
-        duplicate_deliveries: sink.dupes,
+        metro,
+        phases: audit.phases,
+        recoveries: audit.recoveries,
+        lane_events: audit.lane_events,
+        duplicate_deliveries: audit.dupes,
     }
 }
 

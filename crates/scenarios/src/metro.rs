@@ -13,9 +13,9 @@
 //!
 //! Two runners share one world builder:
 //!
-//! - [`run_metro`] — the cluster pipeline, sharded across the
-//!   deterministic parallel engine (`workers` threads, byte-identical
-//!   results at any setting).
+//! - [`run_metro`] — the cluster pipeline on its [`PollTrain`],
+//!   sharded across the deterministic parallel engine (`workers`
+//!   threads, byte-identical results at any setting).
 //! - [`run_metro_reference`] — a single plain [`GatewayIngest`] with no
 //!   cluster at all, for the differential oracle: a 1-gateway cluster
 //!   must reproduce it byte-for-byte (`tests/cluster_diff.rs`).
@@ -28,7 +28,9 @@
 use wile::beacon::BeaconTemplate;
 use wile::monitor::Gateway;
 use wile::registry::Registry;
-use wile_cluster::{ClusterConfig, ClusterDelivery, ClusterStats, GatewayCluster, RoamingConfig};
+use wile_cluster::{
+    ClusterConfig, ClusterDelivery, ClusterStats, GatewayCluster, PollTrain, Polled,
+};
 use wile_dot11::mac::SeqControl;
 use wile_dot11::phy::{frame_airtime_us, PhyRate};
 use wile_mac::{AirCtx, MacSap, McpsDataRequest, WileMac};
@@ -37,8 +39,10 @@ use wile_radio::medium::{RadioConfig, RadioId, RxFrame, TxParams};
 use wile_radio::plan::{Disturbance, FaultPhase, FaultPlan, FaultTimeline};
 use wile_radio::time::{Duration, Instant};
 use wile_sim::ingest::GatewayIngest;
-use wile_sim::kernel::{Actor, ActorId, Ctx, Kernel};
-use wile_telemetry::Telemetry;
+use wile_sim::kernel::{Actor, Ctx, Kernel};
+use wile_telemetry::{Registry as TelemetryRegistry, Telemetry};
+
+pub use wile_cluster::{fold_delivery, FNV_OFFSET};
 
 /// Metro deployment configuration.
 #[derive(Debug, Clone)]
@@ -344,7 +348,28 @@ struct DirectMetroFleet {
     end: Instant,
 }
 
-impl DirectMetroFleet {
+/// What the world builder needs from a fleet actor: each device's
+/// radio and beacon template as it is provisioned, and the beacon tally
+/// after the run.
+trait Fleet: Actor<MetroEv> + 'static {
+    fn push(&mut self, radio: RadioId, template: BeaconTemplate);
+    fn total_sent(&self) -> u64;
+}
+
+impl Fleet for MetroFleet {
+    fn push(&mut self, radio: RadioId, template: BeaconTemplate) {
+        self.mac.push_template(template, radio);
+    }
+    fn total_sent(&self) -> u64 {
+        self.mac.total_sent()
+    }
+}
+
+impl Fleet for DirectMetroFleet {
+    fn push(&mut self, radio: RadioId, template: BeaconTemplate) {
+        self.radios.push(radio);
+        self.templates.push(template);
+    }
     fn total_sent(&self) -> u64 {
         self.sent.iter().map(|&s| s as u64).sum()
     }
@@ -384,63 +409,53 @@ impl Actor<MetroEv> for DirectMetroFleet {
 /// only; the run is byte-identical with or without one.
 pub type FrameTap = Box<dyn FnMut(usize, &RxFrame)>;
 
-/// Fold one delivery into the FNV-1a digest. Every runner that folds a
-/// delivery stream — metro, chaos, and the `wile-gatewayd` replay core —
-/// must use this single definition; digest equality is the compact
-/// byte-identity witness across all of them.
-pub fn fold_delivery(h: &mut u64, d: &ClusterDelivery) {
-    let mut fold = |v: u64| {
-        *h ^= v;
-        *h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    };
-    fold(d.device_id as u64);
-    fold(d.seq as u64);
-    fold(d.at.as_nanos());
-    fold(d.gateway as u64);
-    fold(d.rssi_dbm.to_bits());
-    fold(u64::from(d.encrypted) << 1 | u64::from(d.handoff));
-    fold(d.payload.len() as u64);
-    for &b in &d.payload {
-        fold(b as u64);
+/// A per-poll observer riding the metro poll train: the chaos audit
+/// hangs here, and the plain metro run observes nothing (`()`).
+pub(crate) trait PollAudit: 'static {
+    /// Called after every poll (train body done, medium not yet
+    /// released) with what the poll produced.
+    fn after_poll(
+        &mut self,
+        _polled: &Polled,
+        _cluster: &mut GatewayCluster,
+        _ctx: &mut Ctx<'_, MetroEv>,
+    ) {
     }
+
+    /// Fold the audit's own counters into the run's registry.
+    fn record_telemetry(&self, _reg: &mut TelemetryRegistry) {}
 }
 
-/// FNV-1a offset basis — the seed value every delivery digest starts
-/// from (see [`fold_delivery`]).
-pub const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+impl PollAudit for () {}
 
-/// The cluster sink: poll, digest, release, sample memory, repeat.
-struct ClusterSink {
-    cluster: GatewayCluster,
-    workers: usize,
-    poll_every: Duration,
-    horizon: Instant,
-    keep: bool,
-    deliveries: Vec<ClusterDelivery>,
-    digest: u64,
-    peak_live_tx: usize,
-    evicted: Vec<u32>,
+/// The cluster sink: the [`PollTrain`] fed from the medium, plus the
+/// capture tap, medium release and peak-memory sampling.
+struct ClusterSink<A> {
+    train: PollTrain,
     /// Raw-frame observation hook (`.wcap` capture); `None` on every
     /// path that doesn't record.
     tap: Option<FrameTap>,
+    peak_live_tx: usize,
+    audit: A,
 }
 
-impl Actor<MetroEv> for ClusterSink {
+impl<A: PollAudit> Actor<MetroEv> for ClusterSink<A> {
     fn on_event(&mut self, now: Instant, _ev: MetroEv, ctx: &mut Ctx<'_, MetroEv>) {
-        let got = self.cluster.poll_tapped(
-            ctx.medium,
-            ctx.faults.as_deref_mut(),
-            now,
-            self.workers,
-            self.tap
-                .as_mut()
-                .map(|t| &mut **t as &mut dyn FnMut(usize, &RxFrame)),
-        );
+        let tap = &mut self.tap;
+        let polled = self.train.poll(|cluster, at, workers| {
+            cluster.poll_tapped(
+                ctx.medium,
+                ctx.faults.as_deref_mut(),
+                at,
+                workers,
+                tap.as_mut()
+                    .map(|t| &mut **t as &mut dyn FnMut(usize, &RxFrame)),
+            )
+        });
         // RunLog is disabled at metro scale, but the telemetry trace
         // (when a collector is installed) still records the poll train.
-        ctx.emit("poll_delivered", got.len() as u64);
-        for d in &got {
-            fold_delivery(&mut self.digest, d);
+        ctx.emit("poll_delivered", polled.deliveries.len() as u64);
+        for d in &polled.deliveries {
             // Path attenuation (-dBm, rounded) of every delivered
             // message; single-branch no-op while telemetry is off.
             ctx.telemetry.observe(
@@ -449,16 +464,13 @@ impl Actor<MetroEv> for ClusterSink {
                 (-d.rssi_dbm).max(0.0).round() as u64,
             );
         }
-        if self.keep {
-            self.deliveries.extend(got);
-        }
-        self.evicted.extend(self.cluster.evict_stale(now));
+        self.audit
+            .after_poll(&polled, self.train.cluster_mut(), ctx);
         // Devices are transmit-only: waive history so the bounded
         // medium retires it.
         ctx.medium.release_all(now);
         self.peak_live_tx = self.peak_live_tx.max(ctx.medium.live_tx_count());
-        if now < self.horizon {
-            let next = (now + self.poll_every).min(self.horizon);
+        if let Some(next) = self.train.next_due() {
             ctx.schedule(next, ctx.self_id(), MetroEv::Poll);
         }
     }
@@ -507,11 +519,49 @@ impl Actor<MetroEv> for ReferenceSink {
     }
 }
 
-/// Shared world construction: kernel, gateway radios (attached first,
-/// in lane order), provisioned registry, and the single SoA fleet
-/// actor with its wake train staggered across one period. Returns the
-/// kernel, the gateway radios, the registry, and the fleet's actor id.
-pub(crate) fn build_world(cfg: &MetroConfig) -> (Kernel<MetroEv>, Vec<RadioId>, Registry, ActorId) {
+/// A built metro world, ready to run: the kernel with the fleet's wake
+/// train scheduled, the gateway radios (attached first, in lane order)
+/// and the provisioned registry.
+pub(crate) struct World {
+    kernel: Kernel<MetroEv>,
+    gw_radios: Vec<RadioId>,
+    registry: Registry,
+    beacons_sent: BeaconTally,
+}
+
+/// Removes the fleet actor after the run and returns its beacon tally.
+type BeaconTally = Box<dyn FnOnce(&mut Kernel<MetroEv>) -> u64>;
+
+/// The world over the SAP fleet actor.
+pub(crate) fn build_world(cfg: &MetroConfig) -> World {
+    let fleet = MetroFleet {
+        mac: WileMac::with_templates(vec![0u8; cfg.payload_len], cfg.device_power_dbm),
+        period: cfg.period,
+        end: Instant::ZERO + cfg.duration,
+    };
+    build_world_with(cfg, fleet)
+}
+
+/// The world over the retained pre-SAP fleet actor — the device side
+/// of the differential oracle.
+fn build_world_direct(cfg: &MetroConfig) -> World {
+    let fleet = DirectMetroFleet {
+        radios: Vec::with_capacity(cfg.devices),
+        templates: Vec::with_capacity(cfg.devices),
+        seqs: vec![0; cfg.devices],
+        sent: vec![0; cfg.devices],
+        payload: vec![0u8; cfg.payload_len],
+        tx_power_dbm: cfg.device_power_dbm,
+        period: cfg.period,
+        end: Instant::ZERO + cfg.duration,
+    };
+    build_world_with(cfg, fleet)
+}
+
+/// Shared world construction: kernel, gateway radios, provisioned
+/// registry, and the single SoA fleet actor with its wake train
+/// staggered across one period.
+fn build_world_with<F: Fleet>(cfg: &MetroConfig, mut fleet: F) -> World {
     assert!(cfg.gateways >= 1 && cfg.devices >= 1);
     assert!(cfg.gw_cols >= 1);
     let model = ChannelModel {
@@ -535,9 +585,7 @@ pub(crate) fn build_world(cfg: &MetroConfig) -> (Kernel<MetroEv>, Vec<RadioId>, 
         })
         .collect();
 
-    let end = Instant::ZERO + cfg.duration;
     let mut registry = Registry::new();
-    let mut mac = WileMac::with_templates(vec![0u8; cfg.payload_len], cfg.device_power_dbm);
     for i in 0..cfg.devices {
         let radio = kernel.medium_mut().attach(RadioConfig {
             position_m: cfg.device_position(i),
@@ -545,17 +593,13 @@ pub(crate) fn build_world(cfg: &MetroConfig) -> (Kernel<MetroEv>, Vec<RadioId>, 
         });
         let device_id = i as u32 + 1;
         let identity = wile::registry::DeviceIdentity::new(device_id);
-        mac.push_template(
-            BeaconTemplate::new(identity.mac, device_id, cfg.payload_len).expect("payload bounded"),
+        fleet.push(
             radio,
+            BeaconTemplate::new(identity.mac, device_id, cfg.payload_len).expect("payload bounded"),
         );
         registry.add(identity);
     }
-    let fleet_id = kernel.add_actor(MetroFleet {
-        mac,
-        period: cfg.period,
-        end,
-    });
+    let fleet_id = kernel.add_actor(fleet);
 
     // Stagger wakes uniformly across one period so arrivals never tie,
     // scheduled as one batched train through the timer wheel.
@@ -566,72 +610,108 @@ pub(crate) fn build_world(cfg: &MetroConfig) -> (Kernel<MetroEv>, Vec<RadioId>, 
         fleet_id,
         (0..cfg.devices as u32).map(MetroEv::Wake),
     );
-    (kernel, gw_radios, registry, fleet_id)
+    World {
+        kernel,
+        gw_radios,
+        registry,
+        beacons_sent: Box::new(move |k| k.remove_actor::<F>(fleet_id).total_sent()),
+    }
 }
 
-/// Sum of beacons sent, consuming the fleet actor.
-pub(crate) fn beacons_sent(kernel: &mut Kernel<MetroEv>, fleet: ActorId) -> u64 {
-    kernel.remove_actor::<MetroFleet>(fleet).mac.total_sent()
-}
-
-/// [`build_world`] over the retained pre-SAP fleet actor — the device
-/// side of the differential oracle.
-fn build_world_direct(cfg: &MetroConfig) -> (Kernel<MetroEv>, Vec<RadioId>, Registry, ActorId) {
-    assert!(cfg.gateways >= 1 && cfg.devices >= 1);
-    assert!(cfg.gw_cols >= 1);
-    let model = ChannelModel {
-        shadowing_sigma_db: cfg.shadowing_sigma_db,
+/// The cluster every metro-world runner drives.
+pub(crate) fn cluster_config(cfg: &MetroConfig) -> ClusterConfig {
+    ClusterConfig {
+        queue_capacity: cfg.queue_capacity,
+        stale_after: cfg.stale_after,
         ..Default::default()
-    };
-    let mut kernel: Kernel<MetroEv> = Kernel::new(model, cfg.seed);
-    kernel.log_mut().set_enabled(false);
-    if let Some(plan) = &cfg.faults {
-        kernel.set_faults(FaultTimeline::new(plan.clone()));
     }
+}
 
-    let gw_radios: Vec<RadioId> = (0..cfg.gateways)
-        .map(|i| {
-            kernel.medium_mut().attach(RadioConfig {
-                position_m: cfg.gw_position(i),
-                ..Default::default()
-            })
-        })
-        .collect();
-
-    let end = Instant::ZERO + cfg.duration;
-    let mut registry = Registry::new();
-    let mut fleet = DirectMetroFleet {
-        radios: Vec::with_capacity(cfg.devices),
-        templates: Vec::with_capacity(cfg.devices),
-        seqs: vec![0; cfg.devices],
-        sent: vec![0; cfg.devices],
-        payload: vec![0u8; cfg.payload_len],
-        tx_power_dbm: cfg.device_power_dbm,
-        period: cfg.period,
-        end,
-    };
-    for i in 0..cfg.devices {
-        fleet.radios.push(kernel.medium_mut().attach(RadioConfig {
-            position_m: cfg.device_position(i),
-            ..Default::default()
-        }));
-        let device_id = i as u32 + 1;
-        let identity = wile::registry::DeviceIdentity::new(device_id);
-        fleet.templates.push(
-            BeaconTemplate::new(identity.mac, device_id, cfg.payload_len).expect("payload bounded"),
-        );
-        registry.add(identity);
+/// The one metro-world runner: lanes for the world's gateway radios are
+/// added to `cluster`, a [`PollTrain`] drives it to the horizon with
+/// `audit` called after every poll, and the run is folded into a
+/// [`MetroReport`] (plus `tel`, when enabled). Returns the audit for
+/// the caller's own report.
+pub(crate) fn drive<A: PollAudit>(
+    cfg: &MetroConfig,
+    world: World,
+    mut cluster: GatewayCluster,
+    workers: usize,
+    tel: &mut Telemetry,
+    tap: Option<FrameTap>,
+    audit: A,
+) -> (MetroReport, A) {
+    let World {
+        mut kernel,
+        gw_radios,
+        mut registry,
+        beacons_sent,
+    } = world;
+    if tel.enabled() {
+        let mut kt = Telemetry::new();
+        kt.set_trace_enabled(tel.trace().enabled());
+        kernel.set_telemetry(kt);
+        cluster.enable_telemetry();
     }
-    let fleet_id = kernel.add_actor(fleet);
-
-    let stagger_ns = cfg.period.as_nanos() / cfg.devices as u64;
-    kernel.schedule_batch(
-        Instant::from_ms(500),
-        Duration::from_nanos(stagger_ns),
-        fleet_id,
-        (0..cfg.devices as u32).map(MetroEv::Wake),
+    for radio in gw_radios {
+        cluster.add_gateway(GatewayIngest::new(radio, Gateway::new()));
+    }
+    let horizon = Instant::ZERO + cfg.duration + cfg.period;
+    let train = PollTrain::new(
+        cluster,
+        workers,
+        cfg.poll_every,
+        horizon,
+        cfg.keep_deliveries,
     );
-    (kernel, gw_radios, registry, fleet_id)
+    let first = train.next_due().expect("a fresh train has a poll due");
+    let sink = kernel.add_actor(ClusterSink {
+        train,
+        tap,
+        peak_live_tx: 0,
+        audit,
+    });
+    kernel.schedule(first, sink, MetroEv::Poll);
+
+    kernel.run();
+
+    let beacons = beacons_sent(&mut kernel);
+    let sink = kernel.remove_actor::<ClusterSink<A>>(sink);
+    let delivery_digest = sink.train.digest();
+    let (cluster, deliveries, evicted) = sink.train.into_parts();
+    let stats = cluster.stats();
+    assert!(
+        stats.conserves_offered_load(),
+        "delivered + suppressions + drops must equal hears: {stats:?}"
+    );
+    if tel.enabled() {
+        kernel.flush_telemetry();
+        let reg = kernel.telemetry_mut().registry_mut();
+        cluster.record_telemetry(reg);
+        reg.counter_set("metro.beacons_sent", &[], beacons);
+        reg.counter_set("metro.evicted", &[], evicted.len() as u64);
+        reg.gauge_set("metro.peak_live_tx", &[], sink.peak_live_tx as i64);
+        sink.audit.record_telemetry(reg);
+        tel.merge_from(kernel.telemetry());
+    }
+    // Mirror cluster evictions into the provisioning registry.
+    for id in &evicted {
+        registry.remove(*id);
+    }
+    let report = MetroReport {
+        gateways: cfg.gateways,
+        devices: cfg.devices,
+        beacons_sent: beacons,
+        stats,
+        deliveries,
+        delivery_digest,
+        peak_live_tx: sink.peak_live_tx,
+        retired_tx: kernel.medium().retired_tx_count(),
+        evicted,
+        registry_devices: registry.len(),
+        sim_end: kernel.now(),
+    };
+    (report, sink.audit)
 }
 
 /// Run the metro deployment on the retained pre-SAP device loop — the
@@ -639,58 +719,18 @@ fn build_world_direct(cfg: &MetroConfig) -> (Kernel<MetroEv>, Vec<RadioId>, Regi
 /// digest included (`tests/sap_diff.rs`). Telemetry stays off; the
 /// cluster side is identical to [`run_metro`]'s.
 pub fn run_metro_direct(cfg: &MetroConfig, workers: usize) -> MetroReport {
-    let (mut kernel, gw_radios, mut registry, fleet) = build_world_direct(cfg);
-
-    let mut cluster = GatewayCluster::new(ClusterConfig {
-        queue_capacity: cfg.queue_capacity,
-        roaming: RoamingConfig::default(),
-        shards: 8,
-        stale_after: cfg.stale_after,
-        ..Default::default()
-    });
-    for radio in gw_radios {
-        cluster.add_gateway(GatewayIngest::new(radio, Gateway::new()));
-    }
-    let horizon = Instant::ZERO + cfg.duration + cfg.period;
-    let sink = kernel.add_actor(ClusterSink {
+    let cluster = GatewayCluster::new(cluster_config(cfg));
+    let mut tel = Telemetry::off();
+    drive(
+        cfg,
+        build_world_direct(cfg),
         cluster,
         workers,
-        poll_every: cfg.poll_every,
-        horizon,
-        keep: cfg.keep_deliveries,
-        deliveries: Vec::new(),
-        digest: FNV_OFFSET,
-        peak_live_tx: 0,
-        evicted: Vec::new(),
-        tap: None,
-    });
-    kernel.schedule(Instant::ZERO + cfg.poll_every, sink, MetroEv::Poll);
-
-    kernel.run();
-
-    let beacons = kernel.remove_actor::<DirectMetroFleet>(fleet).total_sent();
-    let sink = kernel.remove_actor::<ClusterSink>(sink);
-    let stats = sink.cluster.stats();
-    assert!(
-        stats.conserves_offered_load(),
-        "delivered + suppressions + drops must equal hears: {stats:?}"
-    );
-    for id in &sink.evicted {
-        registry.remove(*id);
-    }
-    MetroReport {
-        gateways: cfg.gateways,
-        devices: cfg.devices,
-        beacons_sent: beacons,
-        stats,
-        deliveries: sink.deliveries,
-        delivery_digest: sink.digest,
-        peak_live_tx: sink.peak_live_tx,
-        retired_tx: kernel.medium().retired_tx_count(),
-        evicted: sink.evicted,
-        registry_devices: registry.len(),
-        sim_end: kernel.now(),
-    }
+        &mut tel,
+        None,
+        (),
+    )
+    .0
 }
 
 /// Run the metro deployment through the cluster with up to `workers`
@@ -701,28 +741,17 @@ pub fn run_metro(cfg: &MetroConfig, workers: usize) -> MetroReport {
     // `tests/telemetry_diff.rs` proves the report is byte-identical to
     // the instrumented run's.
     let mut tel = Telemetry::off();
-    run_metro_with_telemetry(cfg, workers, &mut tel)
+    run_metro_with(cfg, workers, &mut tel, None)
 }
 
-/// [`run_metro`], additionally folding the run's telemetry into `tel`:
-/// kernel dispatch and medium counters, per-lane cluster and gateway
-/// pipeline counters, link health, election histograms (merged in
-/// shard order), and the delivery-attenuation histogram. When `tel` is
-/// disabled this records nothing and is exactly [`run_metro`]; the
-/// [`MetroReport`] itself never carries telemetry, so the two arms are
-/// comparable with `==`.
-pub fn run_metro_with_telemetry(
-    cfg: &MetroConfig,
-    workers: usize,
-    tel: &mut Telemetry,
-) -> MetroReport {
-    run_metro_with(cfg, workers, tel, None)
-}
-
-/// The fully general metro runner: telemetry *and* an optional
-/// [`FrameTap`] observing the raw per-lane frame stream (the `.wcap`
-/// capture hook). Both observation channels are proven non-perturbing —
-/// `tap = None` is exactly [`run_metro_with_telemetry`], and the
+/// [`run_metro`], additionally folding the run's telemetry into `tel`
+/// and feeding an optional [`FrameTap`] the raw per-lane frame stream
+/// (the `.wcap` capture hook). Telemetry covers kernel dispatch and
+/// medium counters, per-lane cluster and gateway pipeline counters,
+/// link health, election histograms (merged in shard order), and the
+/// delivery-attenuation histogram. Both observation channels are
+/// proven non-perturbing: the [`MetroReport`] never carries telemetry,
+/// so `tests/telemetry_diff.rs` compares the arms with `==`, and the
 /// gatewayd differential oracle proves a tapped run's report equals an
 /// untapped one's.
 pub fn run_metro_with(
@@ -731,76 +760,8 @@ pub fn run_metro_with(
     tel: &mut Telemetry,
     tap: Option<FrameTap>,
 ) -> MetroReport {
-    let (mut kernel, gw_radios, mut registry, fleet) = build_world(cfg);
-    if tel.enabled() {
-        let mut kt = Telemetry::new();
-        kt.set_trace_enabled(tel.trace().enabled());
-        kernel.set_telemetry(kt);
-    }
-
-    let mut cluster = GatewayCluster::new(ClusterConfig {
-        queue_capacity: cfg.queue_capacity,
-        roaming: RoamingConfig::default(),
-        shards: 8,
-        stale_after: cfg.stale_after,
-        ..Default::default()
-    });
-    if tel.enabled() {
-        cluster.enable_telemetry();
-    }
-    for radio in gw_radios {
-        cluster.add_gateway(GatewayIngest::new(radio, Gateway::new()));
-    }
-    let horizon = Instant::ZERO + cfg.duration + cfg.period;
-    let sink = kernel.add_actor(ClusterSink {
-        cluster,
-        workers,
-        poll_every: cfg.poll_every,
-        horizon,
-        keep: cfg.keep_deliveries,
-        deliveries: Vec::new(),
-        digest: FNV_OFFSET,
-        peak_live_tx: 0,
-        evicted: Vec::new(),
-        tap,
-    });
-    kernel.schedule(Instant::ZERO + cfg.poll_every, sink, MetroEv::Poll);
-
-    kernel.run();
-
-    let beacons = beacons_sent(&mut kernel, fleet);
-    let sink = kernel.remove_actor::<ClusterSink>(sink);
-    let stats = sink.cluster.stats();
-    assert!(
-        stats.conserves_offered_load(),
-        "delivered + suppressions + drops must equal hears: {stats:?}"
-    );
-    if tel.enabled() {
-        kernel.flush_telemetry();
-        let reg = kernel.telemetry_mut().registry_mut();
-        sink.cluster.record_telemetry(reg);
-        reg.counter_set("metro.beacons_sent", &[], beacons);
-        reg.counter_set("metro.evicted", &[], sink.evicted.len() as u64);
-        reg.gauge_set("metro.peak_live_tx", &[], sink.peak_live_tx as i64);
-        tel.merge_from(kernel.telemetry());
-    }
-    // Mirror cluster evictions into the provisioning registry.
-    for id in &sink.evicted {
-        registry.remove(*id);
-    }
-    MetroReport {
-        gateways: cfg.gateways,
-        devices: cfg.devices,
-        beacons_sent: beacons,
-        stats,
-        deliveries: sink.deliveries,
-        delivery_digest: sink.digest,
-        peak_live_tx: sink.peak_live_tx,
-        retired_tx: kernel.medium().retired_tx_count(),
-        evicted: sink.evicted,
-        registry_devices: registry.len(),
-        sim_end: kernel.now(),
-    }
+    let cluster = GatewayCluster::new(cluster_config(cfg));
+    drive(cfg, build_world(cfg), cluster, workers, tel, tap, ()).0
 }
 
 /// Run the same world through one plain [`GatewayIngest`] — no cluster,
@@ -812,7 +773,12 @@ pub fn run_metro_reference(cfg: &MetroConfig) -> MetroReport {
         cfg.gateways, 1,
         "the reference is a single gateway by construction"
     );
-    let (mut kernel, gw_radios, registry, fleet) = build_world(cfg);
+    let World {
+        mut kernel,
+        gw_radios,
+        registry,
+        beacons_sent,
+    } = build_world(cfg);
     let horizon = Instant::ZERO + cfg.duration + cfg.period;
     let sink = kernel.add_actor(ReferenceSink {
         ingest: GatewayIngest::new(gw_radios[0], Gateway::new()),
@@ -828,7 +794,7 @@ pub fn run_metro_reference(cfg: &MetroConfig) -> MetroReport {
 
     kernel.run();
 
-    let beacons = beacons_sent(&mut kernel, fleet);
+    let beacons = beacons_sent(&mut kernel);
     let sink = kernel.remove_actor::<ReferenceSink>(sink);
     let mut stats = ClusterStats::default();
     stats.lanes.push(wile_cluster::LaneStats {

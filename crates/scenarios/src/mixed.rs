@@ -35,7 +35,7 @@ use wile::inject::Injector;
 use wile::monitor::Gateway;
 use wile::registry::DeviceIdentity;
 use wile_ble::advertiser::Advertiser;
-use wile_cluster::{ClusterConfig, ClusterStats, GatewayCluster, RoamingConfig};
+use wile_cluster::{ClusterConfig, ClusterStats, GatewayCluster, PollTrain, RoamingConfig};
 use wile_dot11::MacAddr;
 use wile_mac::{
     AirCtx, BleMac, MacSap, MacStatus, McpsDataIndication, McpsDataRequest, MlmeAssociateRequest,
@@ -48,7 +48,7 @@ use wile_radio::time::{Duration, Instant};
 use wile_sim::ingest::GatewayIngest;
 use wile_sim::kernel::{Actor, Ctx, Kernel};
 
-use crate::metro::{fold_delivery, splitmix64, FNV_OFFSET};
+use crate::metro::{splitmix64, FNV_OFFSET};
 
 /// Mixed-fleet configuration.
 #[derive(Debug, Clone)]
@@ -425,28 +425,21 @@ fn fold_indication(h: &mut u64, channel: u8, ind: &McpsDataIndication) {
     }
 }
 
-/// The sink: cluster poll (sharded over `workers`), BLE scanner drain,
-/// digests, release.
+/// The sink: the cluster's [`PollTrain`] fed from the medium, plus the
+/// BLE scanner drain and release.
 struct MixedSink {
-    cluster: GatewayCluster,
+    train: PollTrain,
     scanners: [RadioId; 3],
-    workers: usize,
-    poll_every: Duration,
-    horizon: Instant,
-    wile_digest: u64,
     ble_digest: u64,
     ble_indications: u64,
 }
 
 impl Actor<MixedEv> for MixedSink {
     fn on_event(&mut self, now: Instant, _ev: MixedEv, ctx: &mut Ctx<'_, MixedEv>) {
-        let got = self
-            .cluster
-            .poll(ctx.medium, ctx.faults.as_deref_mut(), now, self.workers);
-        ctx.emit("poll_delivered", got.len() as u64);
-        for d in &got {
-            fold_delivery(&mut self.wile_digest, d);
-        }
+        let polled = self.train.poll(|cluster, at, workers| {
+            cluster.poll(ctx.medium, ctx.faults.as_deref_mut(), at, workers)
+        });
+        ctx.emit("poll_delivered", polled.deliveries.len() as u64);
         // The BLE face of the gateway: one scanner per advertising
         // channel, every heard PDU decoded back into an indication.
         for (k, &radio) in self.scanners.iter().enumerate() {
@@ -460,8 +453,7 @@ impl Actor<MixedEv> for MixedSink {
             }
         }
         ctx.medium.release_all(now);
-        if now < self.horizon {
-            let next = (now + self.poll_every).min(self.horizon);
+        if let Some(next) = self.train.next_due() {
             ctx.schedule(next, ctx.self_id(), MixedEv::Poll);
         }
     }
@@ -606,14 +598,17 @@ pub fn run_mixed(cfg: &MixedConfig, workers: usize) -> MixedReport {
     for radio in gw_radios {
         cluster.add_gateway(GatewayIngest::new(radio, Gateway::new()));
     }
-    let horizon = end + cfg.wile_period;
-    let sink = kernel.add_actor(MixedSink {
+    let train = PollTrain::new(
         cluster,
-        scanners,
         workers,
-        poll_every: cfg.poll_every,
-        horizon,
-        wile_digest: FNV_OFFSET,
+        cfg.poll_every,
+        end + cfg.wile_period,
+        false,
+    );
+    let first_poll = train.next_due().expect("a fresh train has a poll due");
+    let sink = kernel.add_actor(MixedSink {
+        train,
+        scanners,
         ble_digest: FNV_OFFSET,
         ble_indications: 0,
     });
@@ -637,7 +632,7 @@ pub fn run_mixed(cfg: &MixedConfig, workers: usize) -> MixedReport {
             MixedEv::MigrantWake(i),
         );
     }
-    kernel.schedule(Instant::ZERO + cfg.poll_every, sink, MixedEv::Poll);
+    kernel.schedule(first_poll, sink, MixedEv::Poll);
 
     kernel.run();
 
@@ -645,7 +640,7 @@ pub fn run_mixed(cfg: &MixedConfig, workers: usize) -> MixedReport {
     let ble = kernel.remove_actor::<BleFleet>(ble_fleet);
     let mig = kernel.remove_actor::<MigrantFleet>(migrant_fleet);
     let sink = kernel.remove_actor::<MixedSink>(sink);
-    let stats = sink.cluster.stats();
+    let stats = sink.train.cluster().stats();
     assert!(
         stats.conserves_offered_load(),
         "delivered + suppressions + drops must equal hears: {stats:?}"
@@ -665,7 +660,7 @@ pub fn run_mixed(cfg: &MixedConfig, workers: usize) -> MixedReport {
         ble_indications: sink.ble_indications,
         deferrals: wile.deferrals + ble.deferrals + mig.deferrals,
         stats,
-        delivery_digest: sink.wile_digest,
+        delivery_digest: sink.train.digest(),
         ble_digest: sink.ble_digest,
         sim_end: kernel.now(),
     }

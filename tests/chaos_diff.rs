@@ -9,7 +9,8 @@
 //!   at-most-once delivery, be byte-identical across worker counts, and
 //!   show checkpoint-based recovery within the E13 window.
 
-use wile_radio::time::Duration;
+use wile_cluster::{ClusterDisturbance, ClusterFaultPhase, ClusterFaultPlan};
+use wile_radio::time::{Duration, Instant};
 use wile_scenarios::chaos::{run_chaos, ChaosConfig};
 use wile_scenarios::metro::{run_metro, MetroConfig};
 
@@ -130,4 +131,28 @@ fn longer_checkpoint_cadence_changes_restore_mode_only_deterministically() {
     assert!(!r.recoveries[0].restored);
     assert!(r.metro.stats.conserves_offered_load());
     assert_eq!(r.duplicate_deliveries, 0);
+}
+
+#[test]
+fn crash_shorter_than_one_poll_reports_prompt_recovery() {
+    // A 2 s crash falls between two 5 s polls, so one poll observes
+    // both the crash and the restart. Recovery must still be measured
+    // against the lane's own wins, not the cluster-wide delivery count.
+    let mut cfg = ChaosConfig::smoke(42);
+    cfg.infra = ClusterFaultPlan::new(vec![ClusterFaultPhase::new(
+        Instant::from_secs(41),
+        Instant::from_secs(43),
+        ClusterDisturbance::LaneCrash { lane: 0 },
+        "blip-gw0",
+    )]);
+    let r = run_chaos(&cfg, 1);
+    assert_eq!(r.recoveries.len(), 1, "{:?}", r.recoveries);
+    let lag = r.recoveries[0]
+        .recovery_after_restart()
+        .expect("lane must win again before the horizon");
+    assert!(
+        lag <= Duration::from_secs(10),
+        "sub-poll crash recovery took {lag:?}: {:?}",
+        r.recoveries[0]
+    );
 }

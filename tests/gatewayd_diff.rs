@@ -26,9 +26,26 @@ fn record(seed: u64) -> (wile_scenarios::metro::MetroReport, Vec<u8>) {
     (report, bytes)
 }
 
+/// The smoke metro digest per seed, as pinned in `tests/golden.rs`: a
+/// replay must land on it, not only on whatever the in-process run
+/// produced today.
+fn pinned_digest(seed: u64) -> u64 {
+    match seed {
+        42 => 0x24503dea160f2b6e,
+        7 => 0x7b7e2c70e2f21089,
+        9 => 0x244b599fa6ca7dc9,
+        _ => unreachable!("no pinned digest for seed {seed}"),
+    }
+}
+
 fn assert_replay_identical(seed: u64) {
     let (metro, bytes) = record(seed);
     let replay = replay_capture(&bytes, true, 1).expect("replay");
+    assert_eq!(
+        replay.delivery_digest,
+        pinned_digest(seed),
+        "replay digest drifted from the pin (seed {seed})"
+    );
     assert_eq!(
         replay.delivery_digest, metro.delivery_digest,
         "digest mismatch (seed {seed})"

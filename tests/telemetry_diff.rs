@@ -14,7 +14,7 @@
 use wile::reliability::{AdaptiveConfig, EnergyBudget, RepeatPolicy};
 use wile_radio::time::Duration;
 use wile_scenarios::campaign::{run_campaign, run_campaign_telemetry, AdaptMode, CampaignConfig};
-use wile_scenarios::metro::{run_metro, run_metro_with_telemetry, MetroConfig};
+use wile_scenarios::metro::{run_metro, run_metro_with, MetroConfig};
 use wile_telemetry::Telemetry;
 
 const SEEDS: [u64; 3] = [42, 7, 9];
@@ -41,7 +41,7 @@ fn metro_report_is_identical_with_and_without_telemetry() {
         let cfg = MetroConfig::smoke(seed);
         let plain = run_metro(&cfg, 2);
         let mut tel = Telemetry::with_trace();
-        let observed = run_metro_with_telemetry(&cfg, 2, &mut tel);
+        let observed = run_metro_with(&cfg, 2, &mut tel, None);
         assert_eq!(plain, observed, "seed {seed}: telemetry steered the run");
         // And the instrumented run actually recorded the world it saw.
         let reg = tel.registry();
@@ -70,7 +70,7 @@ fn metro_telemetry_digest_is_worker_count_independent() {
         let cfg = MetroConfig::smoke(seed);
         let run = |workers: usize| {
             let mut tel = Telemetry::new();
-            let report = run_metro_with_telemetry(&cfg, workers, &mut tel);
+            let report = run_metro_with(&cfg, workers, &mut tel, None);
             (report, tel.report())
         };
         let (base_report, base_tel) = run(1);
