@@ -32,6 +32,11 @@ pub const WCAP_VERSION: u16 = 1;
 /// Sentinel for "unbounded queue" in the header's capacity field.
 const UNBOUNDED: u64 = u64::MAX;
 
+/// Largest lane count a header may declare: ten times the E14 city
+/// grid's 100 gateways. The core allocates every lane up front, so an
+/// unchecked count would let one header claim unbounded memory.
+pub const MAX_GATEWAYS: u32 = 1024;
+
 const TAG_HEADER: u8 = 0x00;
 const TAG_FRAME: u8 = 0x01;
 const TAG_ADVANCE: u8 = 0x02;
@@ -109,6 +114,11 @@ pub enum WireError {
     EmptyFrame,
     /// Header declaring a cluster with no lanes.
     ZeroGateways,
+    /// Header declaring more lanes than [`MAX_GATEWAYS`].
+    TooManyGateways(u32),
+    /// Header declaring a zero per-lane queue bound (a lane that drops
+    /// everything).
+    ZeroQueueCapacity,
     /// Header declaring a zero poll cadence (the poll train would never
     /// advance).
     ZeroPollEvery,
@@ -131,6 +141,13 @@ impl fmt::Display for WireError {
             }
             WireError::EmptyFrame => write!(f, "frame record with zero frame bytes"),
             WireError::ZeroGateways => write!(f, "capture header declares zero gateways"),
+            WireError::TooManyGateways(n) => write!(
+                f,
+                "capture header declares {n} gateways (at most {MAX_GATEWAYS})"
+            ),
+            WireError::ZeroQueueCapacity => {
+                write!(f, "capture header declares a zero queue capacity")
+            }
             WireError::ZeroPollEvery => write!(f, "capture header declares a zero poll cadence"),
         }
     }
@@ -207,11 +224,17 @@ impl WireRecord {
                 if gateways == 0 {
                     return Err(WireError::ZeroGateways);
                 }
+                if gateways > MAX_GATEWAYS {
+                    return Err(WireError::TooManyGateways(gateways));
+                }
                 let poll_every = Duration::from_nanos(read_u64(rest, 18));
                 if poll_every == Duration::ZERO {
                     return Err(WireError::ZeroPollEvery);
                 }
                 let cap = read_u64(rest, 10);
+                if cap == 0 {
+                    return Err(WireError::ZeroQueueCapacity);
+                }
                 Ok(WireRecord::Header(WcapHeader {
                     gateways,
                     queue_capacity: (cap != UNBOUNDED).then_some(cap as usize),
@@ -379,6 +402,30 @@ mod tests {
         assert_eq!(
             WireRecord::decode(&header_body(no_cadence)),
             Err(WireError::ZeroPollEvery)
+        );
+        let zero_capacity = WcapHeader {
+            queue_capacity: Some(0),
+            ..sample_header()
+        };
+        assert_eq!(
+            WireRecord::decode(&header_body(zero_capacity)),
+            Err(WireError::ZeroQueueCapacity)
+        );
+        let huge = WcapHeader {
+            gateways: u32::MAX,
+            ..sample_header()
+        };
+        assert_eq!(
+            WireRecord::decode(&header_body(huge)),
+            Err(WireError::TooManyGateways(u32::MAX))
+        );
+        let widest = WcapHeader {
+            gateways: MAX_GATEWAYS,
+            ..sample_header()
+        };
+        assert_eq!(
+            WireRecord::decode(&header_body(widest.clone())),
+            Ok(WireRecord::Header(widest))
         );
     }
 }

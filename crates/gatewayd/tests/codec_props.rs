@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use wile_gatewayd::codec::{encode_record, CodecError, FrameDecoder, MAX_RECORD_LEN};
-use wile_gatewayd::wire::{LaneFrame, WcapHeader, WireRecord};
+use wile_gatewayd::wire::{LaneFrame, WcapHeader, WireError, WireRecord, MAX_GATEWAYS};
 use wile_radio::medium::{RadioId, RxFrame};
 use wile_radio::time::{Duration, Instant};
 
@@ -198,7 +198,9 @@ proptest! {
     }
 
     /// Header parameters — including the unbounded-queue sentinel —
-    /// round-trip exactly.
+    /// round-trip exactly, unless they size a session the core cannot
+    /// run (more than [`MAX_GATEWAYS`] lanes, a zero-capacity queue),
+    /// which decode refuses with the matching typed error.
     #[test]
     fn headers_round_trip(
         gateways in 1u32..10_000,
@@ -224,6 +226,13 @@ proptest! {
         let mut dec = FrameDecoder::new();
         dec.push(&wire);
         let body = dec.next_record().unwrap().unwrap();
-        prop_assert_eq!(WireRecord::decode(&body).unwrap(), WireRecord::Header(h));
+        let want = if gateways > MAX_GATEWAYS {
+            Err(WireError::TooManyGateways(gateways))
+        } else if cap_raw == 0 {
+            Err(WireError::ZeroQueueCapacity)
+        } else {
+            Ok(WireRecord::Header(h))
+        };
+        prop_assert_eq!(WireRecord::decode(&body), want);
     }
 }

@@ -1,11 +1,15 @@
 //! Hostile stream headers at the daemon's front door.
 //!
 //! A header is the first thing a peer sends, and it sizes the whole
-//! session. Two values must be refused at decode time, before any core
+//! session. Four values must be refused at decode time, before any core
 //! exists:
 //!
 //! * `gateways == 0` — a cluster with no lanes cannot be built; taking
 //!   it would panic while the daemon holds its state lock;
+//! * `gateways > MAX_GATEWAYS` — the core allocates every lane up
+//!   front, so `u32::MAX` lanes would exhaust memory under that lock;
+//! * `queue_capacity == Some(0)` — a zero-capacity lane queue panics
+//!   on construction, again under the lock;
 //! * `poll_every == 0` — the poll train would never advance, so the
 //!   first frame stamped after zero would spin forever.
 //!
@@ -17,7 +21,7 @@ use std::sync::Arc;
 use std::time::Duration as StdDuration;
 use wile_gatewayd::codec::FrameDecoder;
 use wile_gatewayd::daemon::{Daemon, DaemonOptions};
-use wile_gatewayd::wire::{LaneFrame, WcapHeader, WireRecord};
+use wile_gatewayd::wire::{LaneFrame, WcapHeader, WireError, WireRecord, MAX_GATEWAYS};
 use wile_radio::medium::{RadioId, RxFrame};
 use wile_radio::time::{Duration, Instant};
 
@@ -123,6 +127,43 @@ fn zero_poll_every_header_is_refused_without_a_hang() {
     assert!(!o.session_open, "{o:?}");
     assert!(!o.served, "no session, no report: {o:?}");
     assert!(WireRecord::decode(&header_body(h)).is_err());
+}
+
+#[test]
+fn zero_queue_capacity_header_is_refused_without_a_panic() {
+    let h = WcapHeader {
+        queue_capacity: Some(0),
+        ..header()
+    };
+    let o = serve(stream(h.clone()));
+    assert_eq!(o.stream_errors, 1, "{o:?}");
+    assert!(!o.session_open, "{o:?}");
+    assert!(!o.served, "no session, no report: {o:?}");
+    assert_eq!(
+        WireRecord::decode(&header_body(h)),
+        Err(WireError::ZeroQueueCapacity)
+    );
+}
+
+#[test]
+fn huge_gateway_count_header_is_refused_before_allocating() {
+    let h = WcapHeader {
+        gateways: u32::MAX,
+        ..header()
+    };
+    let o = serve(stream(h.clone()));
+    assert_eq!(o.stream_errors, 1, "{o:?}");
+    assert!(!o.session_open, "{o:?}");
+    assert!(!o.served, "no session, no report: {o:?}");
+    assert_eq!(
+        WireRecord::decode(&header_body(h)),
+        Err(WireError::TooManyGateways(u32::MAX))
+    );
+    let widest = WcapHeader {
+        gateways: MAX_GATEWAYS,
+        ..header()
+    };
+    assert!(WireRecord::decode(&header_body(widest)).is_ok());
 }
 
 #[test]

@@ -1,7 +1,6 @@
 //! The campaign as `wile-sim` actors.
 //!
-//! The refactor splits the reference runner's monolithic `match` into
-//! two actor types on the shared kernel:
+//! The campaign runs as two actor types on the shared kernel:
 //!
 //! * `DevActor` — one per device: the wake → (maybe two-way) beacon →
 //!   repeat-copy → drift-clocked reschedule lifecycle, with the
@@ -12,26 +11,25 @@
 //!
 //! ## Splitting the synchronous feedback round
 //!
-//! The reference runner executes an entire two-way exchange — device
-//! transmit, gateway drain + reply, device listen — inside one event.
-//! Actors can't do that (the gateway's state lives in another actor),
-//! so the round becomes three events at the *same instant* `t`:
+//! A two-way exchange — device transmit, gateway drain + reply, device
+//! listen — is one synchronous round on the medium. Actors can't run it
+//! inside one event (the gateway's state lives in another actor), so
+//! the round becomes three events at the *same instant* `t`:
 //! `Msg` (device transmits the windowed beacon, then [`Ctx::send`]s
 //! `ServeWindow` to the gateway and `FinishFeedback` to itself),
 //! `ServeWindow` (gateway drains up to the window open and transmits
 //! its reply), and `FinishFeedback` (device listens through the window
 //! and closes out the round). The kernel's FIFO tie-break guarantees
 //! the two follow-ups run back-to-back right after `Msg`, and the
-//! clear-air guard inherited from the reference guarantees no other
-//! event was pending at `t` — so the medium sees the exact same
-//! transmit/drain/listen sequence and the differential test can demand
-//! byte-identical reports.
+//! clear-air guard (`TWOWAY_GUARD`) guarantees no other event was
+//! pending at `t` — so the medium sees the transmit/drain/listen
+//! sequence of one uninterrupted round. The resulting reports are
+//! pinned in `tests/golden.rs`.
 //!
 //! The copy count is captured *before* the round (feedback may shrink
-//! the policy mid-round) and carried inside `FinishFeedback`, exactly
-//! as the reference captures `policy` before calling its feedback
-//! helper; the period backoff is read *after*, once any loss report has
-//! been absorbed.
+//! the policy mid-round) and carried inside `FinishFeedback`; the
+//! period backoff is read *after*, once any loss report has been
+//! absorbed.
 
 use super::{
     check_config, summarize, AdaptMode, CampaignConfig, CampaignReport, Dev, FEEDBACK_WINDOW,
@@ -383,10 +381,9 @@ impl Actor<CampaignEv> for GwActor {
 /// per call site — the report is bit-identical either way, which
 /// `tests/telemetry_diff.rs` asserts).
 pub(crate) fn run_campaign_kernel(cfg: &CampaignConfig, tel: &mut Telemetry) -> CampaignReport {
-    let (latency, _cycle) = check_config(cfg);
+    let latency = check_config(cfg);
 
-    // Kernel::new matches the reference's medium setup exactly:
-    // default channel model, the config seed, bounded mode on.
+    // Default channel model, the config seed, bounded mode on.
     let mut kernel: Kernel<CampaignEv> = Kernel::new(Default::default(), cfg.seed);
     kernel.set_faults(FaultTimeline::new(cfg.plan.clone()));
     if tel.enabled() {
@@ -396,7 +393,7 @@ pub(crate) fn run_campaign_kernel(cfg: &CampaignConfig, tel: &mut Telemetry) -> 
     }
 
     // Attach order fixes RadioId assignment: gateway first, then
-    // devices in index order — identical to the reference.
+    // devices in index order.
     let gw_radio = kernel.medium_mut().attach(RadioConfig::default());
     let mut dev_radios = Vec::with_capacity(cfg.devices);
     for i in 0..cfg.devices {
@@ -428,9 +425,8 @@ pub(crate) fn run_campaign_kernel(cfg: &CampaignConfig, tel: &mut Telemetry) -> 
     }
 
     // Setup scheduling order fixes FIFO ordinals: initial messages in
-    // device order first, then the poll train — identical to the
-    // reference (device 0's first wake ties with the 1 s poll and must
-    // win).
+    // device order first, then the poll train (device 0's first wake
+    // ties with the 1 s poll and must win).
     let horizon = end + cfg.period + Duration::from_secs(2);
     for (i, &id) in dev_ids.iter().enumerate() {
         kernel.schedule(

@@ -10,17 +10,13 @@
 //! compared head-to-head against a static baseline on the same seeded
 //! timeline.
 //!
-//! ## Two runners, one report
+//! ## The runner
 //!
 //! [`run_campaign`] executes on the `wile-sim` actor kernel
 //! ([`actors`]): each device is an actor, the gateway is an actor, and
 //! the fault timeline and medium are kernel-owned shared state. The
-//! pre-refactor hand-rolled event loop is retained verbatim as
-//! [`reference::run_campaign_reference`], and differential tests
-//! (`tests/sim_diff.rs`) prove both produce byte-identical
-//! [`CampaignReport`]s across seeds, adapt modes, and worker counts —
-//! the same technique `wile_radio::NaiveMedium` uses to guard the
-//! indexed medium.
+//! [`CampaignReport`]s and their renderings are pinned in
+//! `tests/golden.rs` across seeds, adapt modes, and worker counts.
 //!
 //! ## Determinism and event ordering
 //!
@@ -40,7 +36,6 @@
 //! config therefore produce byte-identical reports.
 
 pub mod actors;
-pub mod reference;
 
 use std::collections::HashSet;
 use wile::inject::{InjectReport, Injector};
@@ -312,9 +307,8 @@ impl CampaignReport {
     }
 }
 
-/// One device's runtime state — shared by the kernel actor and the
-/// reference runner so both fold through the same [`summarize`]. The
-/// injector, radio binding, and repeat-policy state all live inside a
+/// One device's runtime state, folded into the report by
+/// [`summarize`]. The injector, radio binding, and repeat-policy state all live inside a
 /// single-device [`WileMac`] (ordinal 0); the fields left here are the
 /// scenario's own bookkeeping (drift clock, skew, message ledger).
 pub(crate) struct Dev {
@@ -336,8 +330,7 @@ impl Dev {
     }
 
     /// Build device `i` of a campaign fleet: identity, drift clock, and
-    /// adaptation state all derive from the config the same way in both
-    /// runners.
+    /// adaptation state all derive from the config.
     pub(crate) fn build(cfg: &CampaignConfig, i: usize, radio: RadioId) -> Dev {
         let mut mac = WileMac::new();
         mac.push_injector(
@@ -371,9 +364,9 @@ impl Dev {
 
 pub(crate) const PAYLOAD: &[u8] = b"reading";
 
-/// Validate the config and measure the wake cycle; shared preamble of
-/// both runners. Returns (wake→on-air latency, full cycle).
-pub(crate) fn check_config(cfg: &CampaignConfig) -> (Duration, Duration) {
+/// Validate the config and measure the wake cycle. Returns the
+/// wake→on-air latency.
+pub(crate) fn check_config(cfg: &CampaignConfig) -> Duration {
     assert!(cfg.devices >= 1);
     // The ESP32 wake → on-air latency is a deterministic constant;
     // measure it once so phase attribution can reason in on-air time.
@@ -389,7 +382,7 @@ pub(crate) fn check_config(cfg: &CampaignConfig) -> (Duration, Duration) {
         cfg.period > cfg.copy_spacing.mul(super_max_copies(&cfg.mode) as u64),
         "period too short for the worst-case copy train"
     );
-    (latency, cycle)
+    latency
 }
 
 /// Run one campaign on the `wile-sim` actor kernel.
@@ -554,22 +547,6 @@ pub fn run_with_baseline(cfg: &CampaignConfig) -> (CampaignReport, CampaignRepor
     let mut base_cfg = cfg.clone();
     base_cfg.mode = AdaptMode::Static(RepeatPolicy::SINGLE);
     let baseline = run_campaign(&base_cfg);
-    (adaptive, baseline)
-}
-
-/// [`run_with_baseline`] with the two arms fanned across the run
-/// engine. Each arm builds its own seeded world, so the pair of reports
-/// is byte-identical to the serial version for any worker count.
-pub fn run_with_baseline_par(
-    cfg: &CampaignConfig,
-    workers: usize,
-) -> (CampaignReport, CampaignReport) {
-    let mut base_cfg = cfg.clone();
-    base_cfg.mode = AdaptMode::Static(RepeatPolicy::SINGLE);
-    let arms = [cfg.clone(), base_cfg];
-    let mut reports = wile_sim::engine::run_cells(2, workers, |i| run_campaign(&arms[i]));
-    let baseline = reports.pop().expect("two arms");
-    let adaptive = reports.pop().expect("two arms");
     (adaptive, baseline)
 }
 

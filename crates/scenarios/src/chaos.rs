@@ -506,11 +506,6 @@ pub fn run_chaos_with(
     }
 }
 
-/// The E13 runner: the full chaos-metro campaign at `seed`.
-pub fn chaos_metro(seed: u64, workers: usize) -> ChaosReport {
-    run_chaos(&ChaosConfig::metro(seed), workers)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -24,6 +24,9 @@
 //! the same device at persistently different strengths, which gives the
 //! election real work, and cell-edge loss occasionally deafens an
 //! owner, which exercises roaming handoffs.
+//!
+//! The smoke and [`MetroConfig::oracle`] reports are pinned in
+//! `tests/golden.rs`.
 
 use wile::beacon::BeaconTemplate;
 use wile::monitor::Gateway;
@@ -31,15 +34,13 @@ use wile::registry::Registry;
 use wile_cluster::{
     ClusterConfig, ClusterDelivery, ClusterStats, GatewayCluster, PollTrain, Polled,
 };
-use wile_dot11::mac::SeqControl;
-use wile_dot11::phy::{frame_airtime_us, PhyRate};
 use wile_mac::{AirCtx, MacSap, McpsDataRequest, WileMac};
 use wile_radio::channel::ChannelModel;
-use wile_radio::medium::{RadioConfig, RadioId, RxFrame, TxParams};
+use wile_radio::medium::{RadioConfig, RadioId, RxFrame};
 use wile_radio::plan::{Disturbance, FaultPhase, FaultPlan, FaultTimeline};
 use wile_radio::time::{Duration, Instant};
 use wile_sim::ingest::GatewayIngest;
-use wile_sim::kernel::{Actor, Ctx, Kernel};
+use wile_sim::kernel::{Actor, ActorId, Ctx, Kernel};
 use wile_telemetry::{Registry as TelemetryRegistry, Telemetry};
 
 pub use wile_cluster::{fold_delivery, FNV_OFFSET};
@@ -334,73 +335,6 @@ impl Actor<MetroEv> for MetroFleet {
     }
 }
 
-/// The pre-SAP SoA fleet actor, retained verbatim as the differential
-/// oracle's device side: render and transmit directly against the
-/// medium, no service layer.
-struct DirectMetroFleet {
-    radios: Vec<RadioId>,
-    templates: Vec<BeaconTemplate>,
-    seqs: Vec<u16>,
-    sent: Vec<u32>,
-    payload: Vec<u8>,
-    tx_power_dbm: f64,
-    period: Duration,
-    end: Instant,
-}
-
-/// What the world builder needs from a fleet actor: each device's
-/// radio and beacon template as it is provisioned, and the beacon tally
-/// after the run.
-trait Fleet: Actor<MetroEv> + 'static {
-    fn push(&mut self, radio: RadioId, template: BeaconTemplate);
-    fn total_sent(&self) -> u64;
-}
-
-impl Fleet for MetroFleet {
-    fn push(&mut self, radio: RadioId, template: BeaconTemplate) {
-        self.mac.push_template(template, radio);
-    }
-    fn total_sent(&self) -> u64 {
-        self.mac.total_sent()
-    }
-}
-
-impl Fleet for DirectMetroFleet {
-    fn push(&mut self, radio: RadioId, template: BeaconTemplate) {
-        self.radios.push(radio);
-        self.templates.push(template);
-    }
-    fn total_sent(&self) -> u64 {
-        self.sent.iter().map(|&s| s as u64).sum()
-    }
-}
-
-impl Actor<MetroEv> for DirectMetroFleet {
-    fn on_event(&mut self, now: Instant, ev: MetroEv, ctx: &mut Ctx<'_, MetroEv>) {
-        let MetroEv::Wake(i) = ev else { return };
-        let i = i as usize;
-        let seq = self.seqs[i];
-        let frame = self.templates[i].render(seq, SeqControl::new(seq & 0x0FFF, 0), &self.payload);
-        let airtime = Duration::from_us(frame_airtime_us(PhyRate::WILE_PAPER, frame.len()));
-        ctx.medium.transmit(
-            self.radios[i],
-            now,
-            TxParams {
-                airtime,
-                power_dbm: self.tx_power_dbm,
-                min_snr_db: PhyRate::WILE_PAPER.min_snr_db(),
-            },
-            frame,
-        );
-        self.seqs[i] = seq.wrapping_add(1);
-        self.sent[i] += 1;
-        let next = now + self.period;
-        if next <= self.end {
-            ctx.schedule(next, ctx.self_id(), MetroEv::Wake(i as u32));
-        }
-    }
-}
-
 /// An observation hook over the raw per-lane frame stream: called with
 /// `(lane, frame)` for every frame a cluster lane pulls off the medium,
 /// before admission predicates or fault timelines touch it. This is the
@@ -520,48 +454,19 @@ impl Actor<MetroEv> for ReferenceSink {
 }
 
 /// A built metro world, ready to run: the kernel with the fleet's wake
-/// train scheduled, the gateway radios (attached first, in lane order)
-/// and the provisioned registry.
+/// train scheduled, the gateway radios (attached first, in lane order),
+/// the provisioned registry, and the fleet actor.
 pub(crate) struct World {
     kernel: Kernel<MetroEv>,
     gw_radios: Vec<RadioId>,
     registry: Registry,
-    beacons_sent: BeaconTally,
+    fleet: ActorId,
 }
 
-/// Removes the fleet actor after the run and returns its beacon tally.
-type BeaconTally = Box<dyn FnOnce(&mut Kernel<MetroEv>) -> u64>;
-
-/// The world over the SAP fleet actor.
+/// World construction: kernel, gateway radios, provisioned registry,
+/// and the single SoA fleet actor with its wake train staggered across
+/// one period.
 pub(crate) fn build_world(cfg: &MetroConfig) -> World {
-    let fleet = MetroFleet {
-        mac: WileMac::with_templates(vec![0u8; cfg.payload_len], cfg.device_power_dbm),
-        period: cfg.period,
-        end: Instant::ZERO + cfg.duration,
-    };
-    build_world_with(cfg, fleet)
-}
-
-/// The world over the retained pre-SAP fleet actor — the device side
-/// of the differential oracle.
-fn build_world_direct(cfg: &MetroConfig) -> World {
-    let fleet = DirectMetroFleet {
-        radios: Vec::with_capacity(cfg.devices),
-        templates: Vec::with_capacity(cfg.devices),
-        seqs: vec![0; cfg.devices],
-        sent: vec![0; cfg.devices],
-        payload: vec![0u8; cfg.payload_len],
-        tx_power_dbm: cfg.device_power_dbm,
-        period: cfg.period,
-        end: Instant::ZERO + cfg.duration,
-    };
-    build_world_with(cfg, fleet)
-}
-
-/// Shared world construction: kernel, gateway radios, provisioned
-/// registry, and the single SoA fleet actor with its wake train
-/// staggered across one period.
-fn build_world_with<F: Fleet>(cfg: &MetroConfig, mut fleet: F) -> World {
     assert!(cfg.gateways >= 1 && cfg.devices >= 1);
     assert!(cfg.gw_cols >= 1);
     let model = ChannelModel {
@@ -585,6 +490,7 @@ fn build_world_with<F: Fleet>(cfg: &MetroConfig, mut fleet: F) -> World {
         })
         .collect();
 
+    let mut mac = WileMac::with_templates(vec![0u8; cfg.payload_len], cfg.device_power_dbm);
     let mut registry = Registry::new();
     for i in 0..cfg.devices {
         let radio = kernel.medium_mut().attach(RadioConfig {
@@ -593,13 +499,17 @@ fn build_world_with<F: Fleet>(cfg: &MetroConfig, mut fleet: F) -> World {
         });
         let device_id = i as u32 + 1;
         let identity = wile::registry::DeviceIdentity::new(device_id);
-        fleet.push(
-            radio,
+        mac.push_template(
             BeaconTemplate::new(identity.mac, device_id, cfg.payload_len).expect("payload bounded"),
+            radio,
         );
         registry.add(identity);
     }
-    let fleet_id = kernel.add_actor(fleet);
+    let fleet = kernel.add_actor(MetroFleet {
+        mac,
+        period: cfg.period,
+        end: Instant::ZERO + cfg.duration,
+    });
 
     // Stagger wakes uniformly across one period so arrivals never tie,
     // scheduled as one batched train through the timer wheel.
@@ -607,14 +517,14 @@ fn build_world_with<F: Fleet>(cfg: &MetroConfig, mut fleet: F) -> World {
     kernel.schedule_batch(
         Instant::from_ms(500),
         Duration::from_nanos(stagger_ns),
-        fleet_id,
+        fleet,
         (0..cfg.devices as u32).map(MetroEv::Wake),
     );
     World {
         kernel,
         gw_radios,
         registry,
-        beacons_sent: Box::new(move |k| k.remove_actor::<F>(fleet_id).total_sent()),
+        fleet,
     }
 }
 
@@ -645,7 +555,7 @@ pub(crate) fn drive<A: PollAudit>(
         mut kernel,
         gw_radios,
         mut registry,
-        beacons_sent,
+        fleet,
     } = world;
     if tel.enabled() {
         let mut kt = Telemetry::new();
@@ -675,7 +585,7 @@ pub(crate) fn drive<A: PollAudit>(
 
     kernel.run();
 
-    let beacons = beacons_sent(&mut kernel);
+    let beacons = kernel.remove_actor::<MetroFleet>(fleet).mac.total_sent();
     let sink = kernel.remove_actor::<ClusterSink<A>>(sink);
     let delivery_digest = sink.train.digest();
     let (cluster, deliveries, evicted) = sink.train.into_parts();
@@ -712,25 +622,6 @@ pub(crate) fn drive<A: PollAudit>(
         sim_end: kernel.now(),
     };
     (report, sink.audit)
-}
-
-/// Run the metro deployment on the retained pre-SAP device loop — the
-/// differential oracle [`run_metro`] must reproduce byte for byte,
-/// digest included (`tests/sap_diff.rs`). Telemetry stays off; the
-/// cluster side is identical to [`run_metro`]'s.
-pub fn run_metro_direct(cfg: &MetroConfig, workers: usize) -> MetroReport {
-    let cluster = GatewayCluster::new(cluster_config(cfg));
-    let mut tel = Telemetry::off();
-    drive(
-        cfg,
-        build_world_direct(cfg),
-        cluster,
-        workers,
-        &mut tel,
-        None,
-        (),
-    )
-    .0
 }
 
 /// Run the metro deployment through the cluster with up to `workers`
@@ -777,7 +668,7 @@ pub fn run_metro_reference(cfg: &MetroConfig) -> MetroReport {
         mut kernel,
         gw_radios,
         registry,
-        beacons_sent,
+        fleet,
     } = build_world(cfg);
     let horizon = Instant::ZERO + cfg.duration + cfg.period;
     let sink = kernel.add_actor(ReferenceSink {
@@ -794,7 +685,7 @@ pub fn run_metro_reference(cfg: &MetroConfig) -> MetroReport {
 
     kernel.run();
 
-    let beacons = beacons_sent(&mut kernel);
+    let beacons = kernel.remove_actor::<MetroFleet>(fleet).mac.total_sent();
     let sink = kernel.remove_actor::<ReferenceSink>(sink);
     let mut stats = ClusterStats::default();
     stats.lanes.push(wile_cluster::LaneStats {
@@ -857,9 +748,21 @@ mod tests {
 
     #[test]
     fn sap_metro_matches_direct_runner() {
-        let a = run_metro(&MetroConfig::smoke(42), 1);
-        let b = run_metro_direct(&MetroConfig::smoke(42), 1);
-        assert_eq!(a, b);
+        // What the pre-SAP direct runner reported for this world, frozen
+        // when that runner was retired; the digest folds every delivery.
+        let r = run_metro(&MetroConfig::smoke(42), 1);
+        assert_eq!(r.delivery_digest, 0x24503dea160f2b6e, "{:?}", r.stats);
+        assert_eq!(r.beacons_sent, 1498);
+        assert_eq!(r.deliveries.len(), 1498);
+        assert_eq!(r.stats.delivered, 1498);
+        assert_eq!(r.stats.total_hears(), 3711);
+        assert_eq!(r.stats.total_suppressions(), 2213);
+        assert_eq!(r.stats.handoffs, 1);
+        assert_eq!(r.stats.devices_tracked, 150);
+        assert_eq!((r.peak_live_tx, r.retired_tx), (1, 1497));
+        assert!(r.evicted.is_empty());
+        assert_eq!(r.registry_devices, 150);
+        assert_eq!(r.sim_end, Instant::from_secs(330));
     }
 
     #[test]

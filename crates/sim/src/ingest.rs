@@ -6,9 +6,8 @@
 //! reach [`Gateway::ingest`]. Before the kernel existed that pipeline
 //! was re-implemented per driver (`drain_gateway` in `campaign.rs` was
 //! the canonical copy); [`GatewayIngest`] is the one shared
-//! implementation, used by the kernel-ported campaign *and* the
-//! retained pre-refactor reference runner — so the differential tests
-//! compare orchestration, not two drain implementations.
+//! implementation, used by the campaign, the fleet, and every cluster
+//! lane.
 
 use wile::monitor::{Gateway, Received};
 use wile_mac::{MacProtocol, McpsDataIndication};

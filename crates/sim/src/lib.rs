@@ -26,8 +26,8 @@
 //!
 //! The fault campaign, two-way session, ablation sweeps, and the
 //! netstack association scenario in `wile-scenarios` all run on this
-//! kernel; differential tests there prove the ported campaign is
-//! byte-identical to the retained pre-refactor runner.
+//! kernel; their reports are pinned as golden digests
+//! (`tests/golden.rs`).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

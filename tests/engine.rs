@@ -6,10 +6,7 @@
 
 use wile::reliability::{AdaptiveConfig, EnergyBudget, RepeatPolicy};
 use wile_radio::time::Duration;
-use wile_scenarios::campaign::{
-    run_campaign, run_campaigns, run_with_baseline, run_with_baseline_par, AdaptMode,
-    CampaignConfig,
-};
+use wile_scenarios::campaign::{run_campaign, run_campaigns, AdaptMode, CampaignConfig};
 
 fn feedback_mode() -> AdaptMode {
     AdaptMode::Feedback {
@@ -51,17 +48,6 @@ fn parallel_campaign_batch_is_byte_identical_to_serial() {
     // the equality above would be vacuous.
     assert_ne!(serial[0].render(), serial[1].render());
     assert_ne!(serial[1].render(), serial[2].render());
-}
-
-#[test]
-fn parallel_baseline_pair_matches_serial() {
-    let cfg = CampaignConfig::demo(42, feedback_mode());
-    let (adaptive, baseline) = run_with_baseline(&cfg);
-    for workers in [1usize, 2, 8] {
-        let (a, b) = run_with_baseline_par(&cfg, workers);
-        assert_eq!(adaptive, a);
-        assert_eq!(baseline, b);
-    }
 }
 
 #[test]

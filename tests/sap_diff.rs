@@ -1,93 +1,69 @@
-//! Differential oracles for the MAC service layer (`wile-mac`).
+//! Differential checks for the MAC service layer (`wile-mac`).
 //!
-//! The SAP refactor re-routed every device-facing driver — fleet,
-//! metro, campaign, session, association — through MCPS/MLME
-//! primitives. Each driver retains its pre-refactor entry point
-//! verbatim (`run_*_direct`, the campaign's hand-rolled reference loop,
-//! the synchronous `wile::session::run_session`); this suite proves the
-//! SAP-routed runner reproduces it **byte for byte** — full reports,
-//! rendered text, and FNV-1a delivery digests — across seeds and worker
-//! counts. The service layer observes and routes; it must never steer.
+//! Every device-facing driver issues its traffic through MCPS/MLME
+//! primitives. The fleet, metro, campaign and association runners are
+//! held to the output of their pre-SAP direct runners, frozen as the
+//! pins in `tests/pins` when those runners were retired: full reports
+//! and rendered text through their FNV-1a hashes, across seeds and
+//! worker counts. Two independent references remain live. The
+//! kernel-driven two-way session must reproduce the synchronous
+//! `wile::session::run_session` loop exactly, and the gateway face must
+//! lift every drained delivery into one MCPS-DATA.indication. The
+//! service layer observes and routes; it must never steer.
 
+mod pins;
+
+use pins::*;
 use wile_radio::time::Duration;
-use wile_scenarios::assoc::{run_assoc_fleet, run_assoc_fleet_direct, AssocConfig};
-use wile_scenarios::campaign::reference::run_campaign_reference;
+use wile_scenarios::assoc::{run_assoc_fleet, AssocConfig};
 use wile_scenarios::campaign::{run_campaigns, AdaptMode, CampaignConfig};
-use wile_scenarios::metro::{run_metro, run_metro_direct, MetroConfig};
+use wile_scenarios::metro::{run_metro, MetroConfig};
 use wile_scenarios::session::{run_session_kernel, SessionConfig};
-use wile_sim::fleet::{run_fleet, run_fleet_direct, FleetConfig};
+use wile_sim::fleet::{run_fleet, FleetConfig};
 use wile_sim::ingest::GatewayIngest;
-
-const SEEDS: [u64; 3] = [42, 7, 9];
-const WORKERS: [usize; 3] = [1, 4, 8];
 
 #[test]
 fn sap_fleet_matches_direct_across_seeds() {
-    for seed in SEEDS {
+    for (seed, direct) in SEEDS.into_iter().zip(FLEET) {
         let sap = run_fleet(&FleetConfig::smoke(seed));
-        let direct = run_fleet_direct(&FleetConfig::smoke(seed));
-        assert_eq!(sap, direct, "fleet diverged at seed {seed}");
         assert!(sap.beacons_sent > 0);
-    }
-}
-
-#[test]
-fn sap_metro_matches_direct_across_seeds_and_workers() {
-    // The oracle configuration keeps the full delivery stream and runs
-    // a fault plan, so this compares every delivered byte — not just
-    // the digest — through the fault-filtered path too.
-    for seed in SEEDS {
-        let cfg = MetroConfig::oracle(seed);
-        let direct = run_metro_direct(&cfg, 1);
-        assert!(direct.stats.delivered > 0, "oracle delivered nothing");
-        for workers in WORKERS {
-            let sap = run_metro(&cfg, workers);
-            assert_eq!(
-                sap, direct,
-                "metro diverged at seed {seed}, workers {workers}"
-            );
-            assert_eq!(sap.delivery_digest, direct.delivery_digest);
-        }
+        assert_debug_pinned(&format!("fleet seed {seed}"), &sap, direct);
     }
 }
 
 #[test]
 fn sap_metro_matches_direct_multi_gateway() {
     // Multi-gateway smoke world: dedup, handoffs, and bounded lanes all
-    // active on both sides.
-    for seed in SEEDS {
-        let cfg = MetroConfig::smoke(seed);
-        let sap = run_metro(&cfg, 4);
-        let direct = run_metro_direct(&cfg, 4);
-        assert_eq!(sap, direct, "multi-gateway metro diverged at seed {seed}");
+    // active.
+    for ((seed, digest), direct) in SEEDS.into_iter().zip(METRO).zip(METRO_REPORT) {
+        let sap = run_metro(&MetroConfig::smoke(seed), 8);
         assert!(sap.stats.handoffs > 0 || seed != 42, "{:?}", sap.stats);
+        assert_eq!(sap.delivery_digest, digest, "seed {seed}");
+        assert_debug_pinned(&format!("metro seed {seed}"), &sap, direct);
     }
 }
 
 #[test]
 fn sap_campaign_matches_reference_across_seeds_and_workers() {
     // The kernel campaign issues every uplink, repeat copy, and
-    // feedback listen through the SAP; the reference drives the raw
+    // feedback listen through the SAP; the reference drove the raw
     // injector. Feedback mode exercises MCPS-DATA with an rx window
     // plus MLME-WAKE.
     let mode = AdaptMode::Feedback {
         cfg: Default::default(),
         every: 2,
     };
-    for workers in WORKERS {
-        let cfgs: Vec<CampaignConfig> = SEEDS
-            .iter()
-            .map(|&seed| CampaignConfig::demo(seed, mode.clone()))
-            .collect();
+    let cfgs: Vec<CampaignConfig> = SEEDS
+        .iter()
+        .map(|&seed| CampaignConfig::demo(seed, mode.clone()))
+        .collect();
+    for workers in [1, 4, 8] {
         let sap = run_campaigns(&cfgs, workers);
-        for (cfg, got) in cfgs.iter().zip(&sap) {
-            let want = run_campaign_reference(cfg);
-            assert_eq!(
-                got, &want,
-                "campaign diverged at seed {}, workers {workers}",
-                cfg.seed
-            );
-            assert_eq!(got.render(), want.render());
+        for (got, [report, render]) in sap.iter().zip(CAMPAIGN_FEEDBACK_DEFAULT) {
+            let what = format!("campaign seed {} workers {workers}", got.seed);
+            assert!(got.feedback_received > 0, "{what}: no feedback round");
+            assert_debug_pinned(&what, got, report);
+            assert_text_pinned(&format!("{what} render"), &got.render(), render);
         }
     }
 }
@@ -142,11 +118,10 @@ fn sap_session_matches_synchronous_runner_across_seeds() {
 
 #[test]
 fn sap_assoc_matches_direct_across_seeds() {
-    for seed in SEEDS {
+    for (seed, direct) in SEEDS.into_iter().zip(ASSOC) {
         let sap = run_assoc_fleet(&AssocConfig::contended(seed));
-        let direct = run_assoc_fleet_direct(&AssocConfig::contended(seed));
-        assert_eq!(sap, direct, "assoc fleet diverged at seed {seed}");
-        assert_eq!(sap.connected, 6);
+        assert_eq!(sap.connected, 6, "{sap:?}");
+        assert_debug_pinned(&format!("assoc seed {seed}"), &sap, direct);
     }
 }
 

@@ -1,70 +1,52 @@
 //! Differential acceptance tests for the `wile-sim` campaign port: the
-//! actor-kernel runner must reproduce the retained pre-refactor event
-//! loop byte-for-byte — equal [`CampaignReport`] structs *and* equal
-//! rendered text — across seeds, adapt modes, and worker counts. The
+//! actor-kernel runner must reproduce the pre-refactor event loop
+//! byte-for-byte — equal [`CampaignReport`] Debug text *and* equal
+//! rendered text — across seeds, adapt modes, and worker counts. That
+//! loop's output is frozen as the campaign pins in `tests/pins`. The
 //! kernel splits the synchronous two-way feedback round into three
 //! same-instant events, so this is the proof that the split preserves
 //! the exact medium transmit/drain/listen sequence.
+//!
+//! [`CampaignReport`]: wile_scenarios::campaign::CampaignReport
 
-use wile::reliability::{AdaptiveConfig, EnergyBudget, RepeatPolicy};
-use wile_radio::time::Duration;
-use wile_scenarios::campaign::reference::run_campaign_reference;
+mod pins;
+
+use pins::*;
 use wile_scenarios::campaign::{run_campaign, run_campaigns, AdaptMode, CampaignConfig};
 
-fn feedback_mode() -> AdaptMode {
-    AdaptMode::Feedback {
-        cfg: AdaptiveConfig {
-            target_delivery: 0.9,
-            base: RepeatPolicy::SINGLE,
-            budget: EnergyBudget {
-                per_message_uj_ceiling: 800.0,
-                per_copy_uj: 100.0,
-            },
-            backoff_step: Duration::from_secs(1),
-            max_backoff: Duration::from_secs(8),
-        },
-        every: 2,
-    }
-}
-
-fn modes() -> Vec<AdaptMode> {
-    vec![AdaptMode::Static(RepeatPolicy::SINGLE), feedback_mode()]
+/// The static single-copy and tight-budget feedback modes, with their
+/// pins.
+fn modes() -> Vec<(&'static str, AdaptMode, [[u64; 2]; 3])> {
+    campaign_modes()
+        .into_iter()
+        .filter(|(name, ..)| *name != "feedback/default")
+        .collect()
 }
 
 #[test]
 fn kernel_campaign_matches_reference_across_seeds_and_modes() {
-    for mode in modes() {
-        for seed in [42u64, 7, 9] {
-            let cfg = CampaignConfig::demo(seed, mode.clone());
-            let reference = run_campaign_reference(&cfg);
-            let kernel = run_campaign(&cfg);
-            assert_eq!(
-                reference, kernel,
-                "kernel report diverges from reference (seed {seed}, mode {mode:?})"
-            );
-            assert_eq!(
-                reference.render(),
-                kernel.render(),
-                "rendered text diverges (seed {seed}, mode {mode:?})"
-            );
+    for (name, mode, pins) in modes() {
+        for (seed, [report, render]) in SEEDS.into_iter().zip(pins) {
+            let kernel = run_campaign(&CampaignConfig::demo(seed, mode.clone()));
+            let what = format!("campaign {name} seed {seed}");
+            assert_debug_pinned(&what, &kernel, report);
+            assert_text_pinned(&format!("{what} render"), &kernel.render(), render);
         }
     }
 }
 
 #[test]
 fn kernel_campaign_matches_reference_under_parallel_engine() {
-    for mode in modes() {
-        let cfgs: Vec<CampaignConfig> = [42u64, 7, 9]
+    for (name, mode, pins) in modes() {
+        let cfgs: Vec<CampaignConfig> = SEEDS
             .iter()
             .map(|&seed| CampaignConfig::demo(seed, mode.clone()))
             .collect();
-        let reference: Vec<_> = cfgs.iter().map(run_campaign_reference).collect();
         for workers in [1usize, 2, 8] {
-            let kernel = run_campaigns(&cfgs, workers);
-            assert_eq!(
-                reference, kernel,
-                "kernel diverges from reference at {workers} workers ({mode:?})"
-            );
+            for (kernel, [report, _]) in run_campaigns(&cfgs, workers).iter().zip(pins) {
+                let what = format!("campaign {name} seed {} workers {workers}", kernel.seed);
+                assert_debug_pinned(&what, kernel, report);
+            }
         }
     }
 }
@@ -72,10 +54,15 @@ fn kernel_campaign_matches_reference_under_parallel_engine() {
 #[test]
 fn feedback_exchange_actually_happens_in_both_runners() {
     // Guard against vacuous equality: the feedback arm must really
-    // exercise the three-event two-way split.
-    let cfg = CampaignConfig::demo(42, feedback_mode());
-    let reference = run_campaign_reference(&cfg);
-    let kernel = run_campaign(&cfg);
-    assert!(reference.feedback_received > 0, "{reference:?}");
-    assert_eq!(reference.feedback_received, kernel.feedback_received);
+    // exercise the three-event two-way split, in the serial runner and
+    // in the parallel engine alike.
+    let (_, mode, _) = modes()
+        .into_iter()
+        .find(|(name, ..)| *name == "feedback")
+        .expect("feedback mode");
+    let cfg = CampaignConfig::demo(42, mode);
+    let serial = run_campaign(&cfg);
+    let parallel = run_campaigns(std::slice::from_ref(&cfg), 2).remove(0);
+    assert!(serial.feedback_received > 0, "{serial:?}");
+    assert_eq!(serial.feedback_received, parallel.feedback_received);
 }
