@@ -38,14 +38,19 @@
 //!
 //! All aggregation state is keyed by device, and a device maps to
 //! exactly one shard (a pure hash of its id — **not** of the worker
-//! count), so shards never share mutable state. Workers only decide
-//! which thread executes which shard; the merge is index-ordered and
-//! the deliveries are sorted by `(arrival, device, seq)`, so
-//! `WILE_WORKERS=1/2/8` produce byte-identical results
+//! count). Each shard *owns* its slice of the device table and folds
+//! its reports into it in place: one stable sort by `(device, arrival,
+//! ordinal)` per round, no per-device copy of the state and no merge
+//! pass back into a shared table. Workers only decide which thread
+//! executes which shard; the merge of counters and deliveries is
+//! index-ordered and the deliveries are sorted by `(arrival, device,
+//! seq)`, so `WILE_WORKERS=1/2/8` produce byte-identical results
 //! (`tests/cluster_diff.rs` asserts it end to end).
 
 use crate::report::{ClusterDelivery, GatewayReport};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::sync::Mutex;
+use wile_radio::hash::{KeyedMap, KeyedSet};
 use wile_radio::time::{Duration, Instant};
 use wile_sim::engine::run_cells;
 use wile_telemetry::Registry;
@@ -181,11 +186,12 @@ impl ClusterStats {
 }
 
 /// Everything the aggregator remembers about one device.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct DeviceState {
     /// Sequence numbers delivered cluster-wide (cleared per epoch via
-    /// [`ClusterAggregator::clear_dedup`]; seqs wrap at 65536).
-    seen: HashSet<u16>,
+    /// [`ClusterAggregator::clear_dedup`]; seqs wrap at 65536). Keyed
+    /// hashing: the daemon decodes these off the wire.
+    seen: KeyedSet<u16>,
     /// Owning lane.
     owner: usize,
     /// When the current owner acquired the device.
@@ -198,11 +204,20 @@ struct DeviceState {
     orphaned: bool,
 }
 
+/// One shard of the aggregator: the devices that hash to it, which it
+/// alone reads and writes, and the reports a round routes to it.
+#[derive(Debug, Default)]
+struct Shard {
+    devices: KeyedMap<u32, DeviceState>,
+    /// This round's reports; empty between rounds (the allocation is
+    /// kept for the next one).
+    reports: Vec<GatewayReport>,
+}
+
 /// What one shard computed from its slice of a round, merged back in
 /// shard order.
 struct ShardOutcome {
     deliveries: Vec<ClusterDelivery>,
-    updates: Vec<(u32, DeviceState)>,
     wins: Vec<u64>,
     suppressions: Vec<u64>,
     handoffs: u64,
@@ -226,8 +241,10 @@ fn shard_of(device_id: u32, shards: usize) -> usize {
 #[derive(Debug)]
 pub struct ClusterAggregator {
     roaming: RoamingConfig,
-    shards: usize,
-    devices: HashMap<u32, DeviceState>,
+    /// The device table, partitioned by [`shard_of`]. A round hands each
+    /// worker whole shards, so the locks are never contended; they only
+    /// let a worker fold its shard in place.
+    shards: Vec<Mutex<Shard>>,
     wins: Vec<u64>,
     suppressions: Vec<u64>,
     delivered: u64,
@@ -237,9 +254,6 @@ pub struct ClusterAggregator {
     /// When present, rounds record election-shape metrics here (merged
     /// from per-shard registries in shard order).
     telemetry: Option<Registry>,
-    /// Per-shard bucket scratch, reused across rounds so a
-    /// million-device run does not allocate `shards` vectors per poll.
-    groups: Vec<Vec<GatewayReport>>,
 }
 
 impl ClusterAggregator {
@@ -249,8 +263,7 @@ impl ClusterAggregator {
         assert!(shards >= 1, "at least one shard");
         ClusterAggregator {
             roaming,
-            shards,
-            devices: HashMap::new(),
+            shards: (0..shards).map(|_| Mutex::default()).collect(),
             wins: vec![0; lanes],
             suppressions: vec![0; lanes],
             delivered: 0,
@@ -258,7 +271,6 @@ impl ClusterAggregator {
             evicted: 0,
             recovered: 0,
             telemetry: None,
-            groups: Vec::new(),
         }
     }
 
@@ -290,9 +302,19 @@ impl ClusterAggregator {
         self.wins.len()
     }
 
+    /// Exclusive access to every shard (no locking: `&mut self`).
+    fn shards_mut(&mut self) -> impl Iterator<Item = &mut Shard> {
+        self.shards
+            .iter_mut()
+            .map(|m| m.get_mut().expect("aggregator shard poisoned"))
+    }
+
     /// The lane currently owning `device_id`, if it is tracked.
     pub fn owner_of(&self, device_id: u32) -> Option<usize> {
-        self.devices.get(&device_id).map(|d| d.owner)
+        let shard = self.shards[shard_of(device_id, self.shards.len())]
+            .lock()
+            .expect("aggregator shard poisoned");
+        shard.devices.get(&device_id).map(|d| d.owner)
     }
 
     /// Messages delivered cluster-wide so far.
@@ -324,22 +346,25 @@ impl ClusterAggregator {
     /// reports; same determinism contract as
     /// [`evict_stale`](ClusterAggregator::evict_stale)).
     pub fn orphan_lane(&mut self, lane: usize) -> Vec<u32> {
-        let mut ids: Vec<u32> = self
-            .devices
-            .iter_mut()
-            .filter(|(_, d)| d.owner == lane)
-            .map(|(&id, d)| {
-                d.orphaned = true;
-                id
-            })
-            .collect();
+        let mut ids = Vec::new();
+        for shard in self.shards_mut() {
+            for (&id, d) in shard.devices.iter_mut() {
+                if d.owner == lane {
+                    d.orphaned = true;
+                    ids.push(id);
+                }
+            }
+        }
         ids.sort_unstable();
         ids
     }
 
     /// Devices currently tracked.
     pub fn devices_tracked(&self) -> usize {
-        self.devices.len()
+        self.shards
+            .iter()
+            .map(|m| m.lock().expect("aggregator shard poisoned").devices.len())
+            .sum()
     }
 
     /// Per-lane election wins.
@@ -365,28 +390,26 @@ impl ClusterAggregator {
             return Vec::new();
         }
         let lanes = self.lanes();
-        self.groups.resize_with(self.shards, Vec::new);
-        for g in &mut self.groups {
-            g.clear();
-        }
+        let n = self.shards.len();
         for r in batch.drain(..) {
-            self.groups[shard_of(r.device_id, self.shards)].push(r);
+            self.shards[shard_of(r.device_id, n)]
+                .get_mut()
+                .expect("aggregator shard poisoned")
+                .reports
+                .push(r);
         }
-        let groups = &self.groups;
-        let devices = &self.devices;
+        let shards = &self.shards;
         let roaming = &self.roaming;
         let instrumented = self.telemetry.is_some();
-        let outcomes = run_cells(self.shards, workers.max(1), |s| {
-            process_shard(&groups[s], devices, roaming, lanes, instrumented)
+        let outcomes = run_cells(n, workers.max(1), |s| {
+            let mut shard = shards[s].lock().expect("aggregator shard poisoned");
+            shard.fold_round(roaming, lanes, instrumented)
         });
 
         let mut deliveries = Vec::new();
         for out in outcomes {
             if let (Some(total), Some(shard)) = (self.telemetry.as_mut(), out.metrics.as_ref()) {
                 total.merge_from(shard);
-            }
-            for (id, state) in out.updates {
-                self.devices.insert(id, state);
             }
             for lane in 0..lanes {
                 self.wins[lane] += out.wins[lane];
@@ -408,16 +431,17 @@ impl ClusterAggregator {
     /// a seq are indistinguishable from replays and stay suppressed at
     /// the per-gateway layer anyway).
     pub fn evict_stale(&mut self, now: Instant, idle: Duration) -> Vec<u32> {
-        let mut gone: Vec<u32> = self
-            .devices
-            .iter()
-            .filter(|(_, d)| now.since(d.last_heard) >= idle)
-            .map(|(&id, _)| id)
-            .collect();
-        gone.sort_unstable();
-        for id in &gone {
-            self.devices.remove(id);
+        let mut gone = Vec::new();
+        for shard in self.shards_mut() {
+            shard.devices.retain(|&id, d| {
+                let stale = now.since(d.last_heard) >= idle;
+                if stale {
+                    gone.push(id);
+                }
+                !stale
+            });
         }
+        gone.sort_unstable();
         self.evicted += gone.len() as u64;
         gone
     }
@@ -426,8 +450,10 @@ impl ClusterAggregator {
     /// [`wile::monitor::Gateway::clear_dedup`]); ownership and
     /// last-heard clocks survive.
     pub fn clear_dedup(&mut self) {
-        for d in self.devices.values_mut() {
-            d.seen.clear();
+        for shard in self.shards_mut() {
+            for d in shard.devices.values_mut() {
+                d.seen.clear();
+            }
         }
     }
 
@@ -446,163 +472,206 @@ impl ClusterAggregator {
             delivered: self.delivered,
             handoffs: self.handoffs,
             evicted: self.evicted,
-            devices_tracked: self.devices.len(),
+            devices_tracked: self.devices_tracked(),
             recovered: self.recovered,
             checkpoints: 0,
         }
     }
 }
 
-/// Sequentially fold one shard's reports. Reads the pre-round device
-/// table; returns the new state of every touched device.
-fn process_shard(
-    reports: &[GatewayReport],
-    devices: &HashMap<u32, DeviceState>,
-    roaming: &RoamingConfig,
-    lanes: usize,
-    instrumented: bool,
-) -> ShardOutcome {
-    let mut out = ShardOutcome {
-        deliveries: Vec::new(),
-        updates: Vec::new(),
-        wins: vec![0; lanes],
-        suppressions: vec![0; lanes],
-        handoffs: 0,
-        recoveries: 0,
-        metrics: instrumented.then(Registry::new),
-    };
-    // BTreeMap: devices fold in id order, so `updates` is deterministic.
-    let mut by_dev: BTreeMap<u32, Vec<&GatewayReport>> = BTreeMap::new();
-    for r in reports {
-        by_dev.entry(r.device_id).or_default().push(r);
+impl Shard {
+    /// Fold this round's reports into the shard's devices, in place.
+    /// One stable sort by `(device, arrival, ordinal)` lays each
+    /// device's reports out in election order, devices ascending, which
+    /// is the order deliveries are produced in.
+    fn fold_round(
+        &mut self,
+        roaming: &RoamingConfig,
+        lanes: usize,
+        instrumented: bool,
+    ) -> ShardOutcome {
+        let mut out = ShardOutcome {
+            deliveries: Vec::new(),
+            wins: vec![0; lanes],
+            suppressions: vec![0; lanes],
+            handoffs: 0,
+            recoveries: 0,
+            metrics: instrumented.then(Registry::new),
+        };
+        let mut reports = std::mem::take(&mut self.reports);
+        reports.sort_by_key(|r| (r.device_id, r.at, r.ordinal));
+        let mut rest = &mut reports[..];
+        while !rest.is_empty() {
+            let id = rest[0].device_id;
+            let n = rest.iter().take_while(|r| r.device_id == id).count();
+            let (reps, tail) = rest.split_at_mut(n);
+            self.fold_device(id, reps, roaming, &mut out);
+            rest = tail;
+        }
+        reports.clear();
+        self.reports = reports;
+        out
     }
-    for (id, mut reps) in by_dev {
-        reps.sort_by_key(|r| (r.at, r.ordinal));
-        let mut state = devices.get(&id).cloned();
-        let mut i = 0;
-        while i < reps.len() {
-            // One election group: same transmission ⇒ same (seq, at).
-            let (seq, at) = (reps[i].seq, reps[i].at);
-            let mut j = i + 1;
-            while j < reps.len() && reps[j].seq == seq && reps[j].at == at {
-                j += 1;
-            }
-            let group = &reps[i..j];
-            i = j;
 
-            if let Some(s) = state.as_mut() {
-                if at > s.last_heard {
-                    s.last_heard = at;
-                }
-                if s.seen.contains(&seq) {
-                    for r in group {
-                        out.suppressions[r.gateway] += 1;
-                    }
-                    if let Some(m) = out.metrics.as_mut() {
-                        m.inc("cluster.election.stale_groups", &[], 1);
-                    }
-                    continue;
-                }
+    /// Fold one device's reports, sorted by `(arrival, ordinal)`. A
+    /// device heard for the first time is adopted by its first
+    /// election; later groups go through dedup and roaming.
+    fn fold_device(
+        &mut self,
+        id: u32,
+        mut reps: &mut [GatewayReport],
+        roaming: &RoamingConfig,
+        out: &mut ShardOutcome,
+    ) {
+        let state = match self.devices.entry(id) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                let (group, tail) = reps.split_at_mut(group_len(reps));
+                reps = tail;
+                let win = &mut group[elect(group, out)];
+                let mut seen = KeyedSet::default();
+                seen.insert(win.seq);
+                let state = e.insert(DeviceState {
+                    seen,
+                    owner: win.gateway,
+                    owner_since: win.at,
+                    last_heard: win.at,
+                    orphaned: false,
+                });
+                out.deliveries.push(deliver(win, false));
+                state
             }
-
-            // Elect: max RSSI, ties to the lowest lane then ordinal.
-            let mut win = group[0];
-            for r in &group[1..] {
-                if r.rssi_dbm > win.rssi_dbm
-                    || (r.rssi_dbm == win.rssi_dbm
-                        && (r.gateway, r.ordinal) < (win.gateway, win.ordinal))
-                {
-                    win = r;
-                }
+        };
+        while !reps.is_empty() {
+            let (group, tail) = reps.split_at_mut(group_len(reps));
+            reps = tail;
+            let (seq, at) = (group[0].seq, group[0].at);
+            if at > state.last_heard {
+                state.last_heard = at;
             }
-            for r in group {
-                if !std::ptr::eq(*r, win) {
+            if state.seen.contains(&seq) {
+                for r in group.iter() {
                     out.suppressions[r.gateway] += 1;
                 }
-            }
-            out.wins[win.gateway] += 1;
-            if let Some(m) = out.metrics.as_mut() {
-                m.observe("cluster.election.group_size", &[], group.len() as u64);
-                // RSSI is negative dBm; record path attenuation
-                // (-dBm, rounded) so the histogram stays in u64 space.
-                m.observe(
-                    "cluster.election.win_atten_db",
-                    &[],
-                    (-win.rssi_dbm).max(0.0).round() as u64,
-                );
-            }
-
-            let handoff = match state.as_mut() {
-                None => {
-                    state = Some(DeviceState {
-                        seen: HashSet::from([seq]),
-                        owner: win.gateway,
-                        owner_since: at,
-                        last_heard: at,
-                        orphaned: false,
-                    });
-                    false
+                if let Some(m) = out.metrics.as_mut() {
+                    m.inc("cluster.election.stale_groups", &[], 1);
                 }
-                Some(s) => {
-                    s.seen.insert(seq);
-                    if s.orphaned {
-                        // Recovery: the owner's process died since the
-                        // last delivery. Re-elect unconditionally —
-                        // dwell and hysteresis protect a live
-                        // incumbent, and this one is (or was) dead.
-                        s.orphaned = false;
-                        out.recoveries += 1;
-                        let moved = win.gateway != s.owner;
-                        s.owner = win.gateway;
-                        s.owner_since = at;
-                        if moved {
-                            out.handoffs += 1;
-                        }
-                        moved
-                    } else if win.gateway == s.owner {
-                        false
-                    } else {
-                        let incumbent_rssi = group
-                            .iter()
-                            .filter(|r| r.gateway == s.owner)
-                            .map(|r| r.rssi_dbm)
-                            .fold(None, |best: Option<f64>, r| {
-                                Some(best.map_or(r, |b| if r > b { r } else { b }))
-                            });
-                        let moves = match incumbent_rssi {
-                            // Incumbent deaf to this message: re-home now.
-                            None => true,
-                            Some(inc) => {
-                                win.rssi_dbm > inc + roaming.hysteresis_db
-                                    && at.since(s.owner_since) >= roaming.min_dwell
-                            }
-                        };
-                        if moves {
-                            s.owner = win.gateway;
-                            s.owner_since = at;
-                            out.handoffs += 1;
-                        }
-                        moves
-                    }
-                }
-            };
-
-            out.deliveries.push(ClusterDelivery {
-                device_id: id,
-                seq,
-                at,
-                rssi_dbm: win.rssi_dbm,
-                gateway: win.gateway,
-                payload: win.payload.clone(),
-                encrypted: win.encrypted,
-                handoff,
-            });
-        }
-        if let Some(s) = state {
-            out.updates.push((id, s));
+                continue;
+            }
+            let w = elect(group, out);
+            state.seen.insert(seq);
+            let handoff = roam(state, group, w, roaming, out);
+            out.deliveries.push(deliver(&mut group[w], handoff));
         }
     }
-    out
+}
+
+/// Length of the election group at the head of `reps`: copies of one
+/// transmission share `(seq, arrival)`.
+fn group_len(reps: &[GatewayReport]) -> usize {
+    let (seq, at) = (reps[0].seq, reps[0].at);
+    1 + reps[1..]
+        .iter()
+        .take_while(|r| r.seq == seq && r.at == at)
+        .count()
+}
+
+/// Elect a group's winner — max RSSI, ties to the lowest lane then
+/// ordinal — charging the win and the losers' suppressions to their
+/// lanes. Returns the winner's index in `group`.
+fn elect(group: &[GatewayReport], out: &mut ShardOutcome) -> usize {
+    let mut w = 0;
+    for (k, r) in group.iter().enumerate().skip(1) {
+        let win = &group[w];
+        if r.rssi_dbm > win.rssi_dbm
+            || (r.rssi_dbm == win.rssi_dbm && (r.gateway, r.ordinal) < (win.gateway, win.ordinal))
+        {
+            w = k;
+        }
+    }
+    for (k, r) in group.iter().enumerate() {
+        if k != w {
+            out.suppressions[r.gateway] += 1;
+        }
+    }
+    let win = &group[w];
+    out.wins[win.gateway] += 1;
+    if let Some(m) = out.metrics.as_mut() {
+        m.observe("cluster.election.group_size", &[], group.len() as u64);
+        // RSSI is negative dBm; record path attenuation
+        // (-dBm, rounded) so the histogram stays in u64 space.
+        m.observe(
+            "cluster.election.win_atten_db",
+            &[],
+            (-win.rssi_dbm).max(0.0).round() as u64,
+        );
+    }
+    w
+}
+
+/// Apply roaming to a tracked device after `group[w]` won a delivery
+/// election; returns whether ownership moved.
+fn roam(
+    s: &mut DeviceState,
+    group: &[GatewayReport],
+    w: usize,
+    roaming: &RoamingConfig,
+    out: &mut ShardOutcome,
+) -> bool {
+    let win = &group[w];
+    if s.orphaned {
+        // Recovery: the owner's process died since the last delivery.
+        // Re-elect unconditionally — dwell and hysteresis protect a
+        // live incumbent, and this one is (or was) dead.
+        s.orphaned = false;
+        out.recoveries += 1;
+        let moved = win.gateway != s.owner;
+        s.owner = win.gateway;
+        s.owner_since = win.at;
+        if moved {
+            out.handoffs += 1;
+        }
+        return moved;
+    }
+    if win.gateway == s.owner {
+        return false;
+    }
+    let incumbent_rssi = group
+        .iter()
+        .filter(|r| r.gateway == s.owner)
+        .map(|r| r.rssi_dbm)
+        .fold(None, |best: Option<f64>, r| {
+            Some(best.map_or(r, |b| if r > b { r } else { b }))
+        });
+    let moves = match incumbent_rssi {
+        // Incumbent deaf to this message: re-home now.
+        None => true,
+        Some(inc) => {
+            win.rssi_dbm > inc + roaming.hysteresis_db
+                && win.at.since(s.owner_since) >= roaming.min_dwell
+        }
+    };
+    if moves {
+        s.owner = win.gateway;
+        s.owner_since = win.at;
+        out.handoffs += 1;
+    }
+    moves
+}
+
+/// The delivery a winning report makes. The report is spent once the
+/// round ends, so its payload moves instead of being copied.
+fn deliver(win: &mut GatewayReport, handoff: bool) -> ClusterDelivery {
+    ClusterDelivery {
+        device_id: win.device_id,
+        seq: win.seq,
+        at: win.at,
+        rssi_dbm: win.rssi_dbm,
+        gateway: win.gateway,
+        payload: std::mem::take(&mut win.payload),
+        encrypted: win.encrypted,
+        handoff,
+    }
 }
 
 #[cfg(test)]

@@ -90,6 +90,14 @@ impl BeaconTemplate {
     /// Panics if `payload.len() != capacity` — the template's length
     /// fields are fixed.
     pub fn render(&mut self, seq: u16, mac_seq: SeqControl, payload: &[u8]) -> Vec<u8> {
+        self.patch(seq, mac_seq, payload).to_vec()
+    }
+
+    /// [`BeaconTemplate::render`] without the copy: patch in place and
+    /// borrow the finished MPDU, valid until the next patch. A sender
+    /// that hands the frame to a shared buffer (the medium's
+    /// `Arc<[u8]>`) copies it exactly once.
+    pub fn patch(&mut self, seq: u16, mac_seq: SeqControl, payload: &[u8]) -> &[u8] {
         assert_eq!(payload.len(), self.capacity, "template capacity is fixed");
         // MAC sequence control at offset 22.
         self.buf[22..24].copy_from_slice(&mac_seq.to_le_bytes());
@@ -102,7 +110,7 @@ impl BeaconTemplate {
         let len = self.buf.len();
         let crc = fcs::crc32(&self.buf[..len - 4]);
         self.buf[len - 4..].copy_from_slice(&crc.to_le_bytes());
-        self.buf.clone()
+        &self.buf
     }
 
     /// The device id baked into the template.
@@ -111,11 +119,10 @@ impl BeaconTemplate {
     }
 }
 
-/// Extract all Wi-LE data-IE payloads from a (possibly foreign) beacon.
-pub fn wile_fragments<'a>(beacon: &'a Beacon<&'a [u8]>) -> Vec<&'a [u8]> {
-    ie::vendor_elements(beacon.elements(), WILE_OUI, VTYPE_DATA)
-        .map(|v| v.payload)
-        .collect()
+/// Iterate the Wi-LE data-IE payloads of a (possibly foreign) beacon,
+/// in element order, without collecting them.
+pub fn wile_fragments<'a>(beacon: &'a Beacon<&'a [u8]>) -> impl Iterator<Item = &'a [u8]> + 'a {
+    ie::vendor_elements(beacon.elements(), WILE_OUI, VTYPE_DATA).map(|v| v.payload)
 }
 
 #[cfg(test)]
@@ -144,9 +151,8 @@ mod tests {
         let msg = Message::new(7, 3, &payload);
         let frame = build_wile_beacon(dev_mac(), &msg, SeqControl::new(0, 0), 0).unwrap();
         let b = Beacon::new_checked(&frame[..]).unwrap();
-        let frags = wile_fragments(&b);
-        assert_eq!(frags.len(), 3);
-        let back = decode_fragments(frags.into_iter()).unwrap();
+        assert_eq!(wile_fragments(&b).count(), 3);
+        let back = decode_fragments(wile_fragments(&b)).unwrap();
         assert_eq!(back, msg);
     }
 
@@ -174,7 +180,7 @@ mod tests {
         assert!(fcs::check_fcs(&b));
         // Both parse with the right payloads.
         let bb = Beacon::new_checked(&b[..]).unwrap();
-        let back = decode_fragments(wile_fragments(&bb).into_iter()).unwrap();
+        let back = decode_fragments(wile_fragments(&bb)).unwrap();
         assert_eq!(back.payload, b"bbbb");
         assert_eq!(back.seq, 2);
     }
@@ -192,7 +198,7 @@ mod tests {
             .ssid(b"HomeNet")
             .build();
         let b = Beacon::new_checked(&frame[..]).unwrap();
-        assert!(wile_fragments(&b).is_empty());
+        assert!(wile_fragments(&b).next().is_none());
     }
 
     #[test]

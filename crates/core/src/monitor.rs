@@ -15,9 +15,9 @@ use crate::encode::decode_fragments;
 use crate::linkhealth::{LinkHealth, LinkHealthConfig, Observation};
 use crate::registry::Registry;
 use crate::security::decrypt_message;
-use std::collections::HashSet;
 use wile_dot11::fcs;
 use wile_dot11::mgmt::Beacon;
+use wile_radio::hash::KeyedSet;
 use wile_radio::medium::{Medium, RadioId};
 use wile_radio::time::Instant;
 use wile_telemetry::registry::{Label, Registry as Metrics};
@@ -94,7 +94,10 @@ pub struct GatewaySnapshot {
 /// The scanning receiver.
 #[derive(Debug, Default)]
 pub struct Gateway {
-    seen: HashSet<(u32, u16)>,
+    /// `(device, seq)` pairs delivered so far. The keys come off the
+    /// air (or, in `wile-gatewayd`, off a socket), so the set hashes
+    /// with the process-keyed [`KeyedSet`], never a fixed key.
+    seen: KeyedSet<(u32, u16)>,
     stats: GatewayStats,
     health: Option<LinkHealth>,
 }
@@ -159,12 +162,12 @@ impl Gateway {
                 self.stats.foreign_beacons += 1;
                 continue;
             };
-            let frags = wile_fragments(&beacon);
-            if frags.is_empty() {
+            let mut frags = wile_fragments(&beacon).peekable();
+            if frags.peek().is_none() {
                 self.stats.foreign_beacons += 1;
                 continue;
             }
-            let Some(msg) = decode_fragments(frags.into_iter()) else {
+            let Some(msg) = decode_fragments(frags) else {
                 self.stats.reassembly_failures += 1;
                 continue;
             };

@@ -142,7 +142,7 @@ pub fn gateway_serve(
             continue;
         };
         let frags = crate::beacon::wile_fragments(&beacon);
-        let Some(msg) = crate::encode::decode_fragments(frags.into_iter()) else {
+        let Some(msg) = crate::encode::decode_fragments(frags) else {
             continue;
         };
         if msg.device_id != device_id {

@@ -24,7 +24,111 @@ fn arb_reading() -> impl Strategy<Value = Reading> {
     ]
 }
 
+/// A hostile Wi-LE fragment: one of two devices and two sequence
+/// numbers (so fragments of "different" messages meet in one beacon),
+/// two flag values, the version nibble right most of the time, and a
+/// `frag_index`/`frag_count` byte that is half the time plausible
+/// (index < count ≤ 2, so whole messages do reassemble) and otherwise
+/// drawn whole, so every nibble pair, including index ≥ count and
+/// count 0, turns up.
+fn arb_hostile_fragment() -> impl Strategy<Value = Vec<u8>> {
+    (
+        (0u8..4, 0u8..2),
+        (0u32..2, 0u16..2),
+        (any::<bool>(), 0u8..2, 1u8..3, any::<u8>()),
+        prop::collection::vec(any::<u8>(), 0..60),
+    )
+        .prop_map(
+            |((version, flags), (device, seq), (plausible, i, n, raw), chunk)| {
+                let version = if version == 0 { 2 } else { 1 };
+                let frag_byte = if plausible { ((i % n) << 4) | n } else { raw };
+                let mut f = vec![(version << 4) | flags];
+                f.extend_from_slice(&device.to_be_bytes());
+                f.extend_from_slice(&seq.to_be_bytes());
+                f.push(frag_byte);
+                f.extend_from_slice(&chunk);
+                f
+            },
+        )
+}
+
 proptest! {
+    #[test]
+    fn decode_round_trips_shuffled_and_duplicated_fragments(
+        device in any::<u32>(),
+        seq in any::<u16>(),
+        flags in 0u8..16,
+        payload in prop::collection::vec(any::<u8>(), 0..=MAX_MESSAGE_PAYLOAD),
+        dups in prop::collection::vec(any::<prop::sample::Index>(), 0..8),
+        order in prop::collection::vec(any::<u64>(), 24),
+    ) {
+        let mut msg = Message::new(device, seq, &payload);
+        msg.flags = flags;
+        let frags = encode_fragments(&msg).unwrap();
+        // Every fragment once, some again, then in a random order: the
+        // IE order a beacon carries them in is the sender's business.
+        let mut sent: Vec<&[u8]> = frags.iter().map(|f| f.as_slice()).collect();
+        sent.extend(dups.iter().map(|d| frags[d.index(frags.len())].as_slice()));
+        let mut keyed: Vec<(u64, &[u8])> = order.iter().copied().zip(sent).collect();
+        keyed.sort_by_key(|&(k, _)| k);
+        let back = decode_fragments(keyed.into_iter().map(|(_, f)| f)).unwrap();
+        prop_assert_eq!(back, msg);
+    }
+
+    #[test]
+    fn gateway_ingest_never_panics_on_hostile_fragments(
+        beacons in prop::collection::vec(
+            prop::collection::vec(arb_hostile_fragment(), 1..6),
+            1..12,
+        ),
+        raw in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..80), 0..6),
+    ) {
+        use std::sync::Arc;
+        use wile::linkhealth::LinkHealthConfig;
+        use wile::{VTYPE_DATA, WILE_OUI};
+        use wile_dot11::mgmt::BeaconBuilder;
+        use wile_radio::medium::{RadioId, RxFrame};
+
+        // Well-formed beacons with hostile Wi-LE IEs, and raw bytes:
+        // all with a valid FCS, so every frame gets past the first check.
+        let mut frames: Vec<Vec<u8>> = beacons
+            .iter()
+            .map(|ies| {
+                ies.iter()
+                    .fold(BeaconBuilder::new(wile_dot11::MacAddr::from_device_id(1)), |b, ie| {
+                        b.vendor_specific(WILE_OUI, VTYPE_DATA, ie)
+                    })
+                    .build()
+            })
+            .collect();
+        frames.extend(raw.into_iter().map(|mut f| {
+            wile_dot11::fcs::append_fcs(&mut f);
+            f
+        }));
+        let rx: Vec<RxFrame> = frames
+            .iter()
+            .enumerate()
+            .map(|(i, f)| RxFrame {
+                at: Instant::from_ms(i as u64),
+                from: RadioId(0),
+                rssi_dbm: -60.0,
+                snr_db: 30.0,
+                bytes: Arc::from(&f[..]),
+            })
+            .collect();
+        let mut gw = Gateway::with_link_health(LinkHealthConfig::default());
+        let got = gw.ingest(rx);
+        // Every frame lands in exactly one outcome.
+        let s = gw.stats();
+        prop_assert_eq!(s.frames_seen as usize, frames.len());
+        prop_assert_eq!(
+            s.bad_fcs + s.foreign_beacons + s.reassembly_failures + s.duplicates + s.delivered,
+            s.frames_seen
+        );
+        prop_assert_eq!(s.bad_fcs, 0);
+        prop_assert_eq!(got.len() as u64, s.delivered);
+    }
+
     #[test]
     fn fragment_round_trip(
         device in any::<u32>(),
@@ -66,7 +170,7 @@ proptest! {
         prop_assert!(wile_dot11::fcs::check_fcs(&frame));
         let b = Beacon::new_checked(&frame[..]).unwrap();
         prop_assert!(b.is_hidden_ssid());
-        let back = decode_fragments(wile_fragments(&b).into_iter()).unwrap();
+        let back = decode_fragments(wile_fragments(&b)).unwrap();
         prop_assert_eq!(back, msg);
     }
 

@@ -3,6 +3,13 @@
 //! 802.11 uses the same CRC-32 as IEEE 802.3 (polynomial `0x04C11DB7`,
 //! reflected form `0xEDB88320`, initial value and final XOR `0xFFFF_FFFF`),
 //! transmitted least-significant byte first.
+//!
+//! The CRC runs **slicing-by-8**: eight derived tables let one step
+//! fold eight input bytes with eight independent lookups instead of a
+//! chain of eight dependent ones. Every frame a gateway hears is checked
+//! and every beacon a device sends is stamped with it, so it is on both
+//! ends of the hot path. Inputs shorter than a word (and the tail of
+//! longer ones) fall back to the bytewise table.
 
 /// Reflected generator polynomial of the IEEE CRC-32.
 pub const POLY_REFLECTED: u32 = 0xEDB8_8320;
@@ -14,12 +21,28 @@ pub const POLY_REFLECTED: u32 = 0xEDB8_8320;
 /// assert_eq!(wile_dot11::fcs::crc32(b"123456789"), 0xCBF4_3926);
 /// ```
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        let idx = ((crc ^ b as u32) & 0xFF) as usize;
-        crc = (crc >> 8) ^ TABLE[idx];
+    !fold(0xFFFF_FFFF, data)
+}
+
+/// Fold `data` into the running (pre-inversion) CRC `crc`.
+fn fold(mut crc: u32, data: &[u8]) -> u32 {
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = TABLES[7][(lo & 0xFF) as usize]
+            ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
+            ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
+            ^ TABLES[4][(lo >> 24) as usize]
+            ^ TABLES[3][(hi & 0xFF) as usize]
+            ^ TABLES[2][((hi >> 8) & 0xFF) as usize]
+            ^ TABLES[1][((hi >> 16) & 0xFF) as usize]
+            ^ TABLES[0][(hi >> 24) as usize];
     }
-    !crc
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+    }
+    crc
 }
 
 /// Incremental CRC-32, for computing an FCS over scattered buffers.
@@ -44,12 +67,7 @@ impl Crc32 {
 
     /// Fold `data` into the running CRC.
     pub fn update(&mut self, data: &[u8]) {
-        let mut crc = self.state;
-        for &b in data {
-            let idx = ((crc ^ b as u32) & 0xFF) as usize;
-            crc = (crc >> 8) ^ TABLE[idx];
-        }
-        self.state = crc;
+        self.state = fold(self.state, data);
     }
 
     /// Finish and return the CRC value.
@@ -93,10 +111,13 @@ pub fn strip_fcs(frame: &[u8]) -> Option<&[u8]> {
     }
 }
 
-const TABLE: [u32; 256] = build_table();
+/// `TABLES[0]` is the classic bytewise table; `TABLES[k][i]` is the CRC
+/// of byte `i` followed by `k` zero bytes, which is what lets one step
+/// fold the byte `k` positions before the end of an 8-byte word.
+const TABLES: [[u32; 256]; 8] = build_tables();
 
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -109,10 +130,20 @@ const fn build_table() -> [u32; 256] {
             };
             j += 1;
         }
-        table[i] = crc;
+        t[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
 #[cfg(test)]

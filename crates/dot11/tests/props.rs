@@ -21,6 +21,23 @@ fn arb_rate() -> impl Strategy<Value = PhyRate> {
     prop::sample::select(PhyRate::all())
 }
 
+/// The CRC-32 the FCS must equal, one bit at a time: no table, nothing
+/// shared with the implementation under test.
+fn bitwise_crc32(data: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &b in data {
+        crc ^= b as u32;
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+        }
+    }
+    !crc
+}
+
 proptest! {
     #[test]
     fn fcs_round_trip(body in prop::collection::vec(any::<u8>(), 0..512)) {
@@ -199,5 +216,35 @@ proptest! {
         let a = MacAddr::new(octets);
         let s = a.to_string();
         prop_assert_eq!(s.parse::<MacAddr>().unwrap(), a);
+    }
+
+    #[test]
+    fn crc32_equals_the_bitwise_reference_at_every_length(
+        data in prop::collection::vec(any::<u8>(), 300),
+    ) {
+        // Every prefix 0..=300: each residue mod 8 many times over, so
+        // the word loop and the bytewise tail both meet every shape.
+        for len in 0..=data.len() {
+            let (got, want) = (fcs::crc32(&data[..len]), bitwise_crc32(&data[..len]));
+            prop_assert!(got == want, "len {len}: {got:#010x} != {want:#010x}");
+        }
+    }
+
+    #[test]
+    fn incremental_crc32_is_split_invariant(
+        data in prop::collection::vec(any::<u8>(), 0..=300),
+        a in any::<prop::sample::Index>(),
+        b in any::<prop::sample::Index>(),
+    ) {
+        let (x, y) = {
+            let (x, y) = (a.index(data.len() + 1), b.index(data.len() + 1));
+            (x.min(y), x.max(y))
+        };
+        let mut inc = fcs::Crc32::new();
+        inc.update(&data[..x]);
+        inc.update(&data[x..y]);
+        inc.update(&data[y..]);
+        let (got, want) = (inc.finish(), bitwise_crc32(&data));
+        prop_assert!(got == want, "splits {x}/{y} of {}: {got:#010x} != {want:#010x}", data.len());
     }
 }

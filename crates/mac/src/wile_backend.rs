@@ -280,12 +280,13 @@ impl WileMac {
         }
     }
 
-    /// Template-mode data path: render-and-transmit, byte-identical to
-    /// the pre-SAP SoA fleet wake body.
+    /// Template-mode data path: patch-and-transmit, byte-identical to
+    /// the pre-SAP SoA fleet wake body. The patched template is copied
+    /// once, straight into the medium's shared frame buffer.
     fn template_data(t: &mut Templates, air: &mut AirCtx<'_>, device: u32) -> McpsDataConfirm {
         let i = device as usize;
         let seq = t.seqs[i];
-        let frame = t.templates[i].render(seq, SeqControl::new(seq & 0x0FFF, 0), &t.payload);
+        let frame = t.templates[i].patch(seq, SeqControl::new(seq & 0x0FFF, 0), &t.payload);
         let beacon_len = frame.len();
         let airtime = Duration::from_us(frame_airtime_us(PhyRate::WILE_PAPER, beacon_len));
         air.medium.transmit(

@@ -19,6 +19,8 @@
 //! * [`medium`] — the broadcast medium: transmissions, propagation,
 //!   collisions with capture, per-receiver delivery; indexed per channel
 //!   with memoized link budgets and optional bounded-memory retirement.
+//! * [`hash`] — the process-keyed integer hasher behind the hot maps
+//!   (link cache, spatial index, dedup sets, device tables).
 //! * [`naive`] — the original unoptimized medium, retained as the
 //!   reference implementation for differential property tests.
 //! * [`fault`] — smoltcp-style fault injection (random drop, single-bit
@@ -37,6 +39,7 @@ pub mod clock;
 pub mod event;
 pub mod fault;
 pub mod gilbert;
+pub mod hash;
 pub mod medium;
 pub mod naive;
 pub mod pcap;

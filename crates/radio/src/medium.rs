@@ -17,10 +17,22 @@
 //! The medium is a hot path for fleet-scale campaigns, so it indexes
 //! its state instead of rescanning it:
 //!
-//! * live transmissions are indexed **per channel**, and both carrier
-//!   sense ([`Medium::is_busy`]) and the collision scan inside
-//!   [`Medium::take_inbox`] binary-search a start-time window bounded
+//! * live transmissions are indexed **per channel**, and carrier sense
+//!   ([`Medium::is_busy`]) binary-searches a start-time window bounded
 //!   by the longest airtime seen, instead of walking the whole log;
+//! * the **collision scan** inside [`Medium::take_inbox`] searches
+//!   nothing: each transmission records its position in its channel's
+//!   list, and every same-channel transmission that can overlap it sits
+//!   in one contiguous run of that list around it. The scan gallops
+//!   back from the frame to the first entry starting later than
+//!   `start − max_airtime`, then walks forward in index order until
+//!   starts pass the frame's end. Finding the run costs O(log run)
+//!   probes, one when it starts at the frame, instead of two binary
+//!   searches over the whole channel list, and other channels' traffic
+//!   (BLE advertising beside Wi-LE) is never visited. It visits
+//!   interferers in ascending issue order and stops at the first
+//!   collision, so which links it looks up (and so the link-cache
+//!   hit/miss counters) is fixed by the log alone;
 //! * transmissions are additionally indexed **per spatial cell** of the
 //!   sender, and inbox drains only visit cells within the listener's
 //!   sensitivity horizon — in a metro-scale hall a gateway examines the
@@ -31,6 +43,15 @@
 //!   `log10`/`sqrt`/Box–Muller evaluation happens once — and
 //!   out-of-horizon pairs are distance-culled *before* touching the
 //!   cache, so the cache holds O(audible links), not O(radios²);
+//! * the **horizon fast path**: sensitivity horizons are memoized per
+//!   (power, sensitivity), and the last one looked up is kept beside
+//!   its key, so a fleet that transmits at one power to listeners of
+//!   one sensitivity answers every distance cull from a single
+//!   comparison instead of a map probe;
+//! * the link cache, the spatial index and the horizon memo hash their
+//!   integer keys with the **keyed hasher** of [`crate::hash`]: one
+//!   multiply-rotate per word and a final avalanche, keyed once per
+//!   process, instead of SipHash;
 //! * frame bytes are stored once and shared (`Arc<[u8]>`): delivering a
 //!   beacon to N gateways bumps a refcount N times instead of copying
 //!   the payload N times;
@@ -58,11 +79,12 @@
 //! implementation ([`crate::naive::NaiveMedium`]), which the property
 //! tests in `tests/props.rs` enforce over random topologies.
 
-use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::cell::{Cell, RefCell};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::channel::ChannelModel;
+use crate::hash::KeyedMap;
 use crate::per::packet_error_rate;
 use crate::stats::{MediumCounters, MediumStats};
 use crate::time::{Duration, Instant};
@@ -130,9 +152,20 @@ struct Transmission {
     from: RadioId,
     start: Instant,
     end: Instant,
-    channel: u8,
+    /// Ordinal in its channel's log, retired entries included: the
+    /// transmission sits at `chan_ord − retired` in [`ChannelLog::idxs`].
+    chan_ord: u64,
     params: TxParams,
     bytes: Arc<[u8]>,
+}
+
+/// One channel's transmissions, start-ordered.
+#[derive(Debug, Clone, Default)]
+struct ChannelLog {
+    /// Entries dropped from the front by retirement.
+    retired: u64,
+    /// Absolute indices of the retained transmissions.
+    idxs: Vec<u64>,
 }
 
 /// How much stronger (dB) the wanted signal must be than an overlapping
@@ -170,7 +203,7 @@ fn cell_of(pos: (f64, f64)) -> (i32, i32) {
 #[derive(Debug, Clone, Default)]
 struct LinkCache {
     /// `(from, to)` → (tx power bits, rx power dBm).
-    slots: HashMap<(u32, u32), (u64, f64)>,
+    slots: KeyedMap<(u32, u32), (u64, f64)>,
 }
 
 /// The shared broadcast medium.
@@ -207,11 +240,12 @@ pub struct Medium {
     /// Per-receiver high-water mark of `up_to` deadlines the receiver
     /// has drained (or released) its inbox to.
     drained_to: Vec<Instant>,
-    /// Absolute indices of transmissions per channel, start-ordered.
-    by_channel: BTreeMap<u8, Vec<u64>>,
+    /// Transmissions per channel, start-ordered: carrier sense
+    /// searches it, the collision scan walks it.
+    by_channel: BTreeMap<u8, ChannelLog>,
     /// Absolute indices per (channel, sender cell), start-ordered — the
     /// spatial shard index inbox drains merge from.
-    cell_txs: HashMap<(u8, i32, i32), Vec<u64>>,
+    cell_txs: KeyedMap<(u8, i32, i32), Vec<u64>>,
     /// Longest airtime ever transmitted — bounds the start-time window
     /// a transmission can overlap.
     max_airtime: Duration,
@@ -221,7 +255,11 @@ pub struct Medium {
     cache: RefCell<LinkCache>,
     /// Memoized sensitivity horizons keyed by (power bits, sensitivity
     /// bits); fleets use a handful of distinct combinations.
-    horizons: RefCell<HashMap<(u64, u64), f64>>,
+    horizons: RefCell<KeyedMap<(u64, u64), f64>>,
+    /// The last horizon looked up, with its key: a fleet transmitting
+    /// at one power to listeners of one sensitivity never reaches the
+    /// map.
+    last_horizon: Cell<Option<((u64, u64), f64)>>,
     /// Retire fully-consumed history (see [`Medium::retire_consumed`]).
     bounded: bool,
     last_start: Instant,
@@ -249,11 +287,12 @@ impl Medium {
             cursors: Vec::new(),
             drained_to: Vec::new(),
             by_channel: BTreeMap::new(),
-            cell_txs: HashMap::new(),
+            cell_txs: KeyedMap::default(),
             max_airtime: Duration::ZERO,
             max_power_dbm: f64::NEG_INFINITY,
             cache: RefCell::new(LinkCache::default()),
-            horizons: RefCell::new(HashMap::new()),
+            horizons: RefCell::new(KeyedMap::default()),
+            last_horizon: Cell::new(None),
             bounded: false,
             last_start: Instant::ZERO,
             tx_count: 0,
@@ -335,13 +374,20 @@ impl Medium {
     /// issuing one earlier than the previous start panics, because
     /// collision resolution would silently miss it.
     ///
+    /// `bytes` is anything that converts into the shared buffer. An
+    /// `Arc<[u8]>` is taken as is; every other form (`Vec<u8>`,
+    /// `&[u8]`) is copied once into a new shared allocation. Passing a
+    /// borrowed slice therefore saves building an owned `Vec` first
+    /// (the MAC template path hands over its patched frame by
+    /// reference instead of `render()`ing a copy).
+    ///
     /// Returns the end-of-frame instant.
     pub fn transmit(
         &mut self,
         from: RadioId,
         at: Instant,
         params: TxParams,
-        bytes: Vec<u8>,
+        bytes: impl Into<Arc<[u8]>>,
     ) -> Instant {
         assert!(
             at >= self.last_start,
@@ -359,7 +405,9 @@ impl Medium {
         let cfg = self.radios[from.0 as usize];
         let channel = cfg.channel;
         let abs = self.base + self.txs.len() as u64;
-        self.by_channel.entry(channel).or_default().push(abs);
+        let log = self.by_channel.entry(channel).or_default();
+        let chan_ord = log.retired + log.idxs.len() as u64;
+        log.idxs.push(abs);
         let (ci, cj) = cell_of(cfg.position_m);
         self.cell_txs
             .entry((channel, ci, cj))
@@ -369,7 +417,7 @@ impl Medium {
             from,
             start: at,
             end,
-            channel,
+            chan_ord,
             params,
             bytes: bytes.into(),
         });
@@ -400,9 +448,19 @@ impl Medium {
     /// model cannot bound it (non-positive path-loss exponent).
     fn horizon_m(&self, power_dbm: f64, sensitivity_dbm: f64) -> f64 {
         let key = (power_dbm.to_bits(), sensitivity_dbm.to_bits());
-        if let Some(&h) = self.horizons.borrow().get(&key) {
-            return h;
+        if let Some((last, h)) = self.last_horizon.get() {
+            if last == key {
+                return h;
+            }
         }
+        let memo = self.horizons.borrow().get(&key).copied();
+        let h = memo.unwrap_or_else(|| self.compute_horizon_m(key, power_dbm, sensitivity_dbm));
+        self.last_horizon.set(Some((key, h)));
+        h
+    }
+
+    /// [`Medium::horizon_m`] on a miss: the closed form, memoized.
+    fn compute_horizon_m(&self, key: (u64, u64), power_dbm: f64, sensitivity_dbm: f64) -> f64 {
         let budget = power_dbm + SHADOW_CLAMP_SIGMA * self.model.shadowing_sigma_db
             - sensitivity_dbm
             - self.model.pl0_db;
@@ -443,7 +501,7 @@ impl Medium {
     /// device-side carrier-sense ramp calls this on every copy.
     pub fn is_busy(&self, listener: RadioId, at: Instant) -> bool {
         let cfg = self.radios[listener.0 as usize];
-        let Some(idxs) = self.by_channel.get(&cfg.channel) else {
+        let Some(ChannelLog { idxs, .. }) = self.by_channel.get(&cfg.channel) else {
             return false;
         };
         // Active at `at` ⇔ start ≤ at < end; start-sorted, so the
@@ -516,10 +574,13 @@ impl Medium {
                 // Each transmission lives in exactly one cell list, so
                 // the sorted union is duplicate-free and issue-ordered.
                 cand.sort_unstable();
-                for &i in &cand {
-                    if self.tx(i).from != listener {
-                        if let Some(frame) = self.receive_one(i, listener, cfg) {
-                            out.push(frame);
+                // Every candidate is on the listener's channel.
+                if let Some(log) = self.by_channel.get(&cfg.channel) {
+                    for &i in &cand {
+                        if self.tx(i).from != listener {
+                            if let Some(frame) = self.receive_one(i, log, listener, cfg) {
+                                out.push(frame);
+                            }
                         }
                     }
                 }
@@ -668,9 +729,10 @@ impl Medium {
         let new_base = self.base + k as u64;
         self.txs.drain(..k);
         self.base = new_base;
-        for idxs in self.by_channel.values_mut() {
-            let p = idxs.partition_point(|&i| i < new_base);
-            idxs.drain(..p);
+        for log in self.by_channel.values_mut() {
+            let p = log.idxs.partition_point(|&i| i < new_base);
+            log.idxs.drain(..p);
+            log.retired += p as u64;
         }
         self.cell_txs.retain(|_, idxs| {
             let p = idxs.partition_point(|&i| i < new_base);
@@ -745,7 +807,15 @@ impl Medium {
         (x >> 11) as f64 / (1u64 << 53) as f64
     }
 
-    fn receive_one(&self, tx_abs: u64, listener: RadioId, cfg: RadioConfig) -> Option<RxFrame> {
+    /// Model `tx_abs` arriving at `listener`; `log` is the channel both
+    /// are on.
+    fn receive_one(
+        &self,
+        tx_abs: u64,
+        log: &ChannelLog,
+        listener: RadioId,
+        cfg: RadioConfig,
+    ) -> Option<RxFrame> {
         let tx = self.tx(tx_abs);
         // The horizon precheck culls on distance alone — no cache
         // insert — and only where reception is provably impossible.
@@ -762,15 +832,42 @@ impl Medium {
         // the same channel, heard above sensitivity, within the capture
         // margin, destroys this frame at this receiver. Overlap needs
         // other.end > tx.start, so only starts after tx.start −
-        // max_airtime qualify (a culled entry has end ≤ tx.start).
-        let idxs = &self.by_channel[&tx.channel];
-        let (lo, hi) = self.channel_window(idxs, tx.start, tx.end);
-        for &j in &idxs[lo..hi] {
-            if j == tx_abs {
-                continue;
+        // max_airtime qualify (an earlier one has end ≤ tx.start), and
+        // other.start < tx.end. The channel log is start-ordered, so
+        // those candidates form one run around this transmission: find
+        // its first entry by galloping back (O(log run), one probe when
+        // the run starts at the frame), then visit the run in ascending
+        // index order (the order fixes which link-cache entries the
+        // first collision leaves untouched).
+        let idxs = &log.idxs;
+        let pos = (tx.chan_ord - log.retired) as usize;
+        debug_assert_eq!(idxs[pos], tx_abs, "channel log out of step");
+        let lo = match tx.start.as_nanos().checked_sub(self.max_airtime.as_nanos()) {
+            Some(floor_ns) => {
+                let ended = |i: &u64| self.tx(*i).start.as_nanos() <= floor_ns;
+                // Invariant: every entry in [lo, pos) starts after floor.
+                let mut lo = pos;
+                let mut step = 1;
+                while lo > 0 {
+                    let probe = lo.saturating_sub(step);
+                    if !ended(&idxs[probe]) {
+                        lo = probe;
+                        step *= 2;
+                    } else {
+                        lo = probe + 1 + idxs[probe + 1..lo].partition_point(ended);
+                        break;
+                    }
+                }
+                lo
             }
+            None => 0,
+        };
+        for (k, &j) in idxs[lo..].iter().enumerate() {
             let other = self.tx(j);
-            if other.from == listener {
+            if other.start > tx.end {
+                break;
+            }
+            if lo + k == pos || other.from == listener {
                 continue;
             }
             let overlaps = other.start < tx.end && tx.start < other.end;

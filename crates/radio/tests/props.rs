@@ -45,6 +45,29 @@ fn arb_traffic() -> impl Strategy<Value = Vec<TrafficItem>> {
     )
 }
 
+/// Traffic that mixes multi-millisecond airtimes with 20 µs frames at
+/// gaps far shorter than the long ones: every long frame overlaps dozens
+/// of short ones on all three channels, so the collision scan's backward
+/// gallop (bounded by the longest airtime seen) spans many entries of
+/// its channel's list between interleaved other-channel traffic, and
+/// under retirement runs into the start of the retained list.
+fn arb_mixed_airtime_traffic() -> impl Strategy<Value = Vec<TrafficItem>> {
+    prop::collection::vec(
+        (
+            0usize..8,
+            0u64..300,
+            (0u8..4, 1_000u64..6_000),
+            1usize..40,
+            any::<bool>(),
+        )
+            .prop_map(|(sender, gap_us, (kind, long_us), len, high)| {
+                let airtime_us = if kind == 0 { long_us } else { 20 };
+                (sender, gap_us, airtime_us, len, high)
+            }),
+        1..150,
+    )
+}
+
 /// Drive the optimized and naive media through identical topology,
 /// traffic, interleaved polls and carrier-sense queries; every
 /// observable must match bit-for-bit.
@@ -499,5 +522,29 @@ proptest! {
         // Retirement enabled: deliveries, loss rolls and in-contract
         // carrier sense must still match the full-history reference.
         assert_media_equivalent(seed, 0.0, &radios, &traffic, poll_every, true)?;
+    }
+
+    #[test]
+    fn collision_scan_matches_naive_under_mixed_airtimes(
+        seed in any::<u64>(),
+        sigma in 0.0f64..10.0,
+        radios in prop::collection::vec(arb_radio(), 2..8),
+        traffic in arb_mixed_airtime_traffic(),
+        poll_every in 1usize..10,
+    ) {
+        assert_media_equivalent(seed, sigma, &radios, &traffic, poll_every, false)?;
+    }
+
+    #[test]
+    fn bounded_collision_scan_matches_naive_under_mixed_airtimes(
+        seed in any::<u64>(),
+        sigma in 0.0f64..10.0,
+        radios in prop::collection::vec(arb_radio(), 2..8),
+        traffic in arb_mixed_airtime_traffic(),
+        poll_every in 1usize..4,
+    ) {
+        // Frequent polls let retirement advance the log's start while
+        // long frames still reach back across it.
+        assert_media_equivalent(seed, sigma, &radios, &traffic, poll_every, true)?;
     }
 }

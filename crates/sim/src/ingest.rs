@@ -135,21 +135,19 @@ impl GatewayIngest {
         mut faults: Option<&mut FaultTimeline>,
         mut admit: impl FnMut(Instant) -> bool,
     ) -> Vec<Received> {
-        let mut survivors = Vec::new();
-        for mut f in frames {
+        let survivors = frames.into_iter().filter_map(|mut f| {
             if !admit(f.at) {
-                continue;
+                return None;
             }
             if let Some(tl) = faults.as_deref_mut() {
-                if tl.gateway_down(f.at) {
-                    continue;
-                }
-                if tl.apply_shared(f.at, &mut f.bytes) == FaultOutcome::Dropped {
-                    continue;
+                if tl.gateway_down(f.at)
+                    || tl.apply_shared(f.at, &mut f.bytes) == FaultOutcome::Dropped
+                {
+                    return None;
                 }
             }
-            survivors.push(f);
-        }
+            Some(f)
+        });
         self.gateway.ingest(survivors)
     }
 }

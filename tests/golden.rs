@@ -20,11 +20,12 @@ use pins::*;
 use wile_radio::time::Duration;
 use wile_scenarios::assoc::{run_assoc_fleet, AssocConfig};
 use wile_scenarios::campaign::{run_campaigns, AdaptMode, CampaignConfig};
-use wile_scenarios::chaos::{run_chaos, ChaosConfig};
-use wile_scenarios::metro::{run_metro, MetroConfig};
+use wile_scenarios::chaos::{run_chaos, run_chaos_with, ChaosConfig};
+use wile_scenarios::metro::{run_metro, run_metro_with, MetroConfig};
 use wile_scenarios::mixed::{run_mixed, MixedConfig};
 use wile_scenarios::session::{run_session_kernel, SessionConfig};
 use wile_sim::fleet::{run_fleet, FleetConfig};
+use wile_telemetry::Telemetry;
 
 #[test]
 fn metro_smoke_digests_are_pinned() {
@@ -52,6 +53,46 @@ fn chaos_smoke_digests_are_pinned() {
             assert_eq!(
                 got, want,
                 "chaos seed {seed} workers {workers}: {got:#018x}"
+            );
+        }
+    }
+}
+
+/// The telemetry digest carries what the delivery digest does not: the
+/// medium's link-cache hits and misses, its collision, PER and cull
+/// counters, and the election histograms. Pinning it holds the medium
+/// and the cluster to the same observable work, not only the same
+/// deliveries.
+#[test]
+fn metro_smoke_telemetry_digests_are_pinned() {
+    for (seed, want) in SEEDS.into_iter().zip(METRO_TELEMETRY) {
+        for workers in WORKERS {
+            let mut tel = Telemetry::new();
+            run_metro_with(&MetroConfig::smoke(seed), workers, &mut tel, None);
+            let report = tel.report();
+            assert!(
+                report.render().contains("medium.cache.hits"),
+                "metro telemetry seed {seed} recorded no medium counters"
+            );
+            assert_text_pinned(
+                &format!("metro telemetry seed {seed} workers {workers}"),
+                report.render(),
+                want,
+            );
+        }
+    }
+}
+
+#[test]
+fn chaos_smoke_telemetry_digests_are_pinned() {
+    for (seed, want) in SEEDS.into_iter().zip(CHAOS_TELEMETRY) {
+        for workers in WORKERS {
+            let mut tel = Telemetry::new();
+            run_chaos_with(&ChaosConfig::smoke(seed), workers, &mut tel, None);
+            assert_text_pinned(
+                &format!("chaos telemetry seed {seed} workers {workers}"),
+                tel.report().render(),
+                want,
             );
         }
     }

@@ -20,6 +20,12 @@ pub const WORKERS: [usize; 2] = [1, 4];
 pub const METRO: [u64; 3] = [0x24503dea160f2b6e, 0x7b7e2c70e2f21089, 0x244b599fa6ca7dc9];
 /// `run_chaos(&ChaosConfig::smoke(seed), _).metro.delivery_digest`.
 pub const CHAOS: [u64; 3] = [0x496da1623506b5bc, 0x632b85e0f4834ca7, 0x63d13872f13c6218];
+/// FNV-1a of the telemetry report text of
+/// `run_metro_with(&MetroConfig::smoke(seed), _, Telemetry::new(), None)`.
+pub const METRO_TELEMETRY: [u64; 3] = [0x711822a2b4fe7d62, 0xcc48441ac60d14d8, 0x17da37cf876c3f25];
+/// FNV-1a of the telemetry report text of
+/// `run_chaos_with(&ChaosConfig::smoke(seed), _, Telemetry::new(), None)`.
+pub const CHAOS_TELEMETRY: [u64; 3] = [0x68eeee6833850b31, 0x108e388bad5a2b41, 0x6150a4affd054b71];
 /// `run_mixed(&MixedConfig::smoke(seed), _).delivery_digest`.
 pub const MIXED_WILE: [u64; 3] = [0x562fc44edb460bb4, 0x42df660814710efb, 0x739d4767e3963118];
 /// `run_mixed(&MixedConfig::smoke(seed), _).ble_digest`.
