@@ -6,13 +6,31 @@
 //! Two implementations share the same API and — provably, see
 //! `tests/props.rs` — the same pop order:
 //!
-//! * [`EventQueue`]: a hierarchical timer wheel. Near-periodic traffic
-//!   (duty-cycled beacons) is the worst case for a binary heap — every
-//!   push sifts through `log n` of the million pending wakes — while the
-//!   wheel schedules in O(1) and pops in O(levels) amortised.
+//! * [`EventQueue`]: a monotone append lane in front of a hierarchical
+//!   timer wheel. Duty-cycled fleets reschedule every wake at
+//!   `now + period`, which is never earlier than the last wake they
+//!   scheduled, so the whole wake train is a FIFO append and pop; only
+//!   out-of-order events (poll trains, jittered retries) pay for the
+//!   wheel, which schedules in O(1) and pops in O(levels) amortised. A
+//!   binary heap would sift every push through `log n` of the million
+//!   pending wakes.
 //! * [`NaiveEventQueue`]: the original binary heap, kept as the
 //!   differential oracle in the same spirit as
 //!   [`NaiveMedium`](crate::NaiveMedium).
+//!
+//! ## The append lane
+//!
+//! An event at or after the lane's last event (and not before the
+//! wheel's `elapsed` cursor) is appended to the lane, so the lane is
+//! sorted by `(time, seq)` by construction. Everything else goes to the
+//! wheel. A pop takes the smaller of the lane front and the wheel
+//! minimum by `(time, seq)`. Time ties always go to the lane: a wheel
+//! event at `t` was filed because the lane's back was after `t`, and
+//! the back cannot fall to `t` or below until that event has popped, so
+//! every lane event at `t` was scheduled before it. Lane pops do not
+//! move `elapsed`, and the wheel only cascades when its minimum is
+//! strictly before the lane front, so every lane event stays
+//! `>= elapsed` too.
 //!
 //! ## Wheel geometry
 //!
@@ -21,16 +39,17 @@
 //! all 66 > 64 bits and no event is ever out of range. An event lives at
 //! the level of the *highest bit where its time differs from the wheel's
 //! `elapsed` cursor*; the cursor only ever advances to the slot base of
-//! the earliest pending event, so every pending time stays `>= elapsed`
-//! and placement stays canonical. Popping drains the first occupied slot
-//! of the lowest occupied level; slots above level 0 are cascaded — all
-//! their events re-inserted strictly further down — until the minimum
-//! sits at level 0, where a slot can hold only one distinct instant and
-//! its FIFO order is exactly seq order. Events scheduled *before*
-//! `elapsed` (the documented legacy "fires immediately" behaviour) are
-//! parked in a tiny overflow heap that always pops first; they can never
-//! tie with a wheel event on time, so the (time, seq) order is identical
-//! to the naive queue's.
+//! the earliest pending wheel event, so every pending time stays
+//! `>= elapsed` and placement stays canonical. Popping from the wheel
+//! drains the first occupied slot of the lowest occupied level; slots
+//! above level 0 are cascaded — all their events re-inserted strictly
+//! further down — until the minimum sits at level 0, where a slot can
+//! hold only one distinct instant and its FIFO order is exactly seq
+//! order. Events scheduled *before* `elapsed` (the documented legacy
+//! "fires immediately" behaviour) are parked in a tiny overflow heap
+//! that always pops first, whether or not the lane is empty; they can
+//! never tie with a lane or wheel event on time, so the (time, seq)
+//! order is identical to the naive queue's.
 
 use crate::time::{Duration, Instant};
 use std::cmp::Ordering;
@@ -124,13 +143,18 @@ fn slot_of(at: u64, level: usize) -> usize {
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<T> {
+    /// Events in `(time, seq)` order, appended while each is at or
+    /// after the previous one (see the module docs). Their seqs are
+    /// never compared, so they are not kept.
+    lane: VecDeque<(u64, T)>,
     levels: Vec<Level<T>>,
     /// Events scheduled before `elapsed` (legacy past-scheduling); their
-    /// times are strictly below every wheel event's, so "overdue pops
-    /// first" preserves the exact (time, seq) order.
+    /// times are strictly below every lane and wheel event's, so
+    /// "overdue pops first" preserves the exact (time, seq) order.
     overdue: BinaryHeap<Entry<T>>,
-    /// The wheel cursor: every wheel event's time is `>= elapsed`, and
-    /// it equals the last wheel-popped time (so `elapsed <= now`).
+    /// The wheel cursor: every wheel and lane event's time is
+    /// `>= elapsed`, and it equals the last wheel-popped time (so
+    /// `elapsed <= now`).
     elapsed: u64,
     wheel_len: usize,
     next_seq: u64,
@@ -142,6 +166,7 @@ impl<T> EventQueue<T> {
     /// An empty queue at time zero.
     pub fn new() -> Self {
         EventQueue {
+            lane: VecDeque::new(),
             levels: (0..LEVELS)
                 .map(|_| Level {
                     occupied: 0,
@@ -164,6 +189,28 @@ impl<T> EventQueue<T> {
     /// release builds pay nothing.
     pub fn assert_monotonic(&mut self, on: bool) {
         self.monotonic = on;
+    }
+
+    /// File a scheduled event: overdue heap, lane or wheel.
+    fn insert(&mut self, at: u64, seq: u64, payload: T) {
+        if at < self.elapsed {
+            self.overdue.push(Entry {
+                at: Instant::from_nanos(at),
+                seq,
+                payload,
+            });
+        } else if self.lane_takes(at) {
+            self.lane.push_back((at, payload));
+        } else {
+            self.wheel_insert(at, seq, payload);
+            self.wheel_len += 1;
+        }
+    }
+
+    /// Whether an event at `at` (not overdue) appends to the lane: it
+    /// is at or after the lane's back.
+    fn lane_takes(&self, at: u64) -> bool {
+        !matches!(self.lane.back(), Some(&(back, _)) if at < back)
     }
 
     fn wheel_insert(&mut self, at: u64, seq: u64, payload: T) {
@@ -205,13 +252,7 @@ impl<T> EventQueue<T> {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        let ns = at.as_nanos();
-        if ns < self.elapsed {
-            self.overdue.push(Entry { at, seq, payload });
-        } else {
-            self.wheel_insert(ns, seq, payload);
-            self.wheel_len += 1;
-        }
+        self.insert(at.as_nanos(), seq, payload);
     }
 
     /// Schedule a homogeneous train of events: payload `i` fires at
@@ -235,19 +276,16 @@ impl<T> EventQueue<T> {
         }
         let stride = stride.as_nanos();
         let mut at = start.as_nanos();
+        let payloads = payloads.into_iter();
+        if at >= self.elapsed && self.lane_takes(at) {
+            // The train never decreases, so all of it lands in the
+            // lane: size the lane once instead of doubling up to it.
+            self.lane.reserve(payloads.size_hint().0);
+        }
         for payload in payloads {
             let seq = self.next_seq;
             self.next_seq += 1;
-            if at < self.elapsed {
-                self.overdue.push(Entry {
-                    at: Instant::from_nanos(at),
-                    seq,
-                    payload,
-                });
-            } else {
-                self.wheel_insert(at, seq, payload);
-                self.wheel_len += 1;
-            }
+            self.insert(at, seq, payload);
             at += stride;
         }
     }
@@ -274,13 +312,22 @@ impl<T> EventQueue<T> {
     /// Pop the earliest event, advancing the queue's notion of "now".
     pub fn pop(&mut self) -> Option<(Instant, T)> {
         if let Some(e) = self.overdue.pop() {
-            // Overdue times are strictly below `elapsed` and every wheel
-            // event; `now` still never runs backwards.
+            // Overdue times are strictly below `elapsed` and every lane
+            // and wheel event; `now` still never runs backwards.
             self.now = self.now.max(e.at);
             return Some((e.at, e.payload));
         }
         loop {
-            let (level, slot, _) = self.wheel_min()?;
+            let Some((level, slot, min_at)) = self.wheel_min() else {
+                return self.pop_lane();
+            };
+            if matches!(self.lane.front(), Some(&(lane_at, _)) if lane_at <= min_at) {
+                // Time ties go to the lane: a wheel event at `t` was
+                // filed while the lane's back was after `t`, and the
+                // back cannot fall to `t` until that event has popped,
+                // so every lane event at `t` is older.
+                return self.pop_lane();
+            }
             if level == 0 {
                 // A level-0 slot holds exactly one distinct instant (the
                 // slot is 1 ns wide relative to `elapsed`), so front-pop
@@ -299,11 +346,12 @@ impl<T> EventQueue<T> {
             }
             // Cascade: drain the whole slot, advance the cursor to its
             // base (all entries share bits >= 6*level, and nothing
-            // pending is earlier), and re-insert. Every entry now
-            // differs from `elapsed` only below this level, so each
-            // lands strictly further down — the loop terminates. Equal
-            // times follow identical slot paths at every level, so
-            // insertion order survives any number of cascades.
+            // pending is earlier — the lane front is after `min_at`),
+            // and re-insert. Every entry now differs from `elapsed`
+            // only below this level, so each lands strictly further
+            // down — the loop terminates. Equal times follow identical
+            // slot paths at every level, so insertion order survives
+            // any number of cascades.
             let s = &mut self.levels[level].slots[slot];
             let drained = std::mem::take(&mut s.entries);
             s.min_at = u64::MAX;
@@ -319,12 +367,26 @@ impl<T> EventQueue<T> {
         }
     }
 
+    /// Pop the lane front. `elapsed` stays put: it tracks the wheel.
+    fn pop_lane(&mut self) -> Option<(Instant, T)> {
+        let (at, payload) = self.lane.pop_front()?;
+        let at = Instant::from_nanos(at);
+        self.now = self.now.max(at);
+        Some((at, payload))
+    }
+
     /// The timestamp of the next event without popping it.
     pub fn peek_time(&self) -> Option<Instant> {
         if let Some(e) = self.overdue.peek() {
             return Some(e.at);
         }
-        self.wheel_min().map(|(_, _, min)| Instant::from_nanos(min))
+        let lane = self.lane.front().map(|&(at, _)| at);
+        let wheel = self.wheel_min().map(|(_, _, min)| min);
+        match (lane, wheel) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+        .map(Instant::from_nanos)
     }
 
     /// The time of the most recently popped event (simulation "now").
@@ -334,7 +396,7 @@ impl<T> EventQueue<T> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.wheel_len + self.overdue.len()
+        self.lane.len() + self.wheel_len + self.overdue.len()
     }
 
     /// True when no events are pending.
@@ -367,7 +429,7 @@ impl<T> Default for EventQueue<T> {
 }
 
 /// The original binary-heap event queue, kept verbatim as the
-/// differential oracle for [`EventQueue`] (the timer wheel). Same API,
+/// differential oracle for [`EventQueue`] (the lane and the wheel). Same API,
 /// same documented semantics; `tests/props.rs` drives both through
 /// random schedule/pop interleavings and asserts identical pop streams.
 pub struct NaiveEventQueue<T> {
@@ -597,10 +659,7 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(
-        debug_assertions,
-        should_panic(expected = "scheduled an event in the past")
-    )]
+    #[should_panic(expected = "scheduled an event in the past")]
     fn monotonic_mode_rejects_past_scheduling_in_debug() {
         let mut q = EventQueue::new();
         q.assert_monotonic(true);
@@ -643,6 +702,41 @@ mod tests {
                 (Instant::from_ms(500) + Duration::from_us(750), 3),
             ]
         );
+    }
+
+    #[test]
+    fn lane_ties_pop_before_younger_wheel_events() {
+        // "b" is after the lane's back when scheduled, so it goes to the
+        // wheel — far above level 0 — behind the older lane event at
+        // the same instant.
+        let mut q = EventQueue::new();
+        q.schedule(Instant::from_ms(100), "lane-a");
+        q.schedule(Instant::from_ms(200), "lane-c");
+        q.schedule(Instant::from_ms(100), "wheel-b");
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.peek_time(), Some(Instant::from_ms(100)));
+        assert_eq!(q.pop(), Some((Instant::from_ms(100), "lane-a")));
+        assert_eq!(q.pop(), Some((Instant::from_ms(100), "wheel-b")));
+        assert_eq!(q.pop(), Some((Instant::from_ms(200), "lane-c")));
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn past_events_go_overdue_even_when_the_lane_is_empty() {
+        let mut q = EventQueue::new();
+        q.schedule(Instant::from_ms(100), "lane");
+        q.schedule(Instant::from_ms(50), "wheel");
+        assert_eq!(q.pop(), Some((Instant::from_ms(50), "wheel")));
+        assert_eq!(q.pop(), Some((Instant::from_ms(100), "lane")));
+        // Both are below the wheel cursor (50 ms): were the first
+        // appended to the now empty lane, the second would overtake it.
+        q.schedule(Instant::from_ms(20), "late-a");
+        q.schedule(Instant::from_ms(30), "late-b");
+        q.schedule(Instant::from_ms(120), "on-time");
+        assert_eq!(q.pop(), Some((Instant::from_ms(20), "late-a")));
+        assert_eq!(q.pop(), Some((Instant::from_ms(30), "late-b")));
+        assert_eq!(q.pop(), Some((Instant::from_ms(120), "on-time")));
+        assert_eq!(q.now(), Instant::from_ms(120));
     }
 
     #[test]

@@ -58,7 +58,12 @@
 //! * with [`Medium::retire_consumed`] enabled, transmissions every
 //!   attached cursor has passed are **retired**, so long campaigns run
 //!   in memory bounded by the in-flight window rather than the full
-//!   history.
+//!   history;
+//! * [`Medium::release_all`] moves one shared **release floor** instead
+//!   of every radio's cursor: radios that have not drained or released
+//!   on their own since the last one keep no state of their own, so a
+//!   poll's release and its retirement check cost O(listeners), not
+//!   O(radios).
 //!
 //! # Spatial sharding
 //!
@@ -168,6 +173,10 @@ struct ChannelLog {
     idxs: Vec<u64>,
 }
 
+/// The `cursors` entry of a radio on the release floor. No absolute
+/// transmission index reaches it.
+const ON_FLOOR: u64 = u64::MAX;
+
 /// How much stronger (dB) the wanted signal must be than an overlapping
 /// interferer for the receiver to capture it anyway.
 pub const CAPTURE_MARGIN_DB: f64 = 10.0;
@@ -235,11 +244,20 @@ pub struct Medium {
     /// Absolute index of `txs[0]` (count of retired transmissions).
     base: u64,
     /// Per-receiver cursor (absolute): everything before it has been
-    /// offered to that receiver already.
+    /// offered to that receiver already. [`ON_FLOOR`] for a radio whose
+    /// cursor and drain mark are the shared `floor`.
     cursors: Vec<u64>,
     /// Per-receiver high-water mark of `up_to` deadlines the receiver
-    /// has drained (or released) its inbox to.
+    /// has drained (or released) its inbox to; stale while the radio
+    /// sits on the floor.
     drained_to: Vec<Instant>,
+    /// The `(cursor, drained_to)` of every radio on the floor: where
+    /// the last [`Medium::release_all`] left each radio that has not
+    /// drained or released on its own since.
+    floor: (u64, Instant),
+    /// The radios off the floor, which hold their own state in
+    /// `cursors` and `drained_to`.
+    off_floor: Vec<u32>,
     /// Transmissions per channel, start-ordered: carrier sense
     /// searches it, the collision scan walks it.
     by_channel: BTreeMap<u8, ChannelLog>,
@@ -265,8 +283,8 @@ pub struct Medium {
     last_start: Instant,
     /// Total frames ever transmitted (for stats).
     tx_count: u64,
-    /// Cursor advances since the last retirement scan — amortizes the
-    /// O(radios) min-cursor pass to O(1) per drain on large fleets.
+    /// Cursor advances since the last retirement scan (see
+    /// [`Medium::maybe_retire`]).
     retire_skip: u32,
     /// Scratch for merging neighbour-cell index lists without a per-poll
     /// allocation.
@@ -286,6 +304,8 @@ impl Medium {
             base: 0,
             cursors: Vec::new(),
             drained_to: Vec::new(),
+            floor: (0, Instant::ZERO),
+            off_floor: Vec::new(),
             by_channel: BTreeMap::new(),
             cell_txs: KeyedMap::default(),
             max_airtime: Duration::ZERO,
@@ -302,12 +322,20 @@ impl Medium {
         }
     }
 
-    /// Attach a radio; returns its id.
+    /// Attach a radio; returns its id. It starts at the oldest retained
+    /// transmission with nothing drained, which is the floor's state
+    /// only until the first release or retirement.
     pub fn attach(&mut self, cfg: RadioConfig) -> RadioId {
+        let id = self.radios.len() as u32;
         self.radios.push(cfg);
-        self.cursors.push(self.base);
+        if self.floor == (self.base, Instant::ZERO) {
+            self.cursors.push(ON_FLOOR);
+        } else {
+            self.cursors.push(self.base);
+            self.off_floor.push(id);
+        }
         self.drained_to.push(Instant::ZERO);
-        RadioId(self.radios.len() as u32 - 1)
+        RadioId(id)
     }
 
     /// The propagation model in use.
@@ -361,6 +389,17 @@ impl Medium {
     /// [`Medium::retire_consumed`] is enabled).
     pub fn retired_tx_count(&self) -> u64 {
         self.base
+    }
+
+    /// `listener`'s index into `cursors` and `drained_to`, after taking
+    /// it off the floor (with the floor's state) if it sat there.
+    fn own_state(&mut self, listener: RadioId) -> usize {
+        let r = listener.0 as usize;
+        if self.cursors[r] == ON_FLOOR {
+            (self.cursors[r], self.drained_to[r]) = self.floor;
+            self.off_floor.push(listener.0);
+        }
+        r
     }
 
     fn tx(&self, abs: u64) -> &Transmission {
@@ -563,7 +602,8 @@ impl Medium {
     /// cursor advances to exactly where the full walk would stop.
     pub fn take_inbox_into(&mut self, listener: RadioId, up_to: Instant, out: &mut Vec<RxFrame>) {
         let cfg = self.radios[listener.0 as usize];
-        let cursor = self.cursors[listener.0 as usize];
+        let r = self.own_state(listener);
+        let cursor = self.cursors[r];
         let end = self.base + self.txs.len() as u64;
         if cursor < end {
             let stop = self.inbox_stop(cursor, up_to);
@@ -586,10 +626,10 @@ impl Medium {
                 }
                 self.inbox_scratch = cand;
             }
-            self.cursors[listener.0 as usize] = stop;
+            self.cursors[r] = stop;
         }
-        if up_to > self.drained_to[listener.0 as usize] {
-            self.drained_to[listener.0 as usize] = up_to;
+        if up_to > self.drained_to[r] {
+            self.drained_to[r] = up_to;
         }
         self.maybe_retire(false);
     }
@@ -646,39 +686,47 @@ impl Medium {
     /// Loss decisions are stateless per (transmission, receiver), so
     /// skipping them here cannot disturb any other receiver's stream.
     pub fn release(&mut self, listener: RadioId, up_to: Instant) {
-        let cursor = self.cursors[listener.0 as usize];
+        let r = self.own_state(listener);
+        let cursor = self.cursors[r];
         if cursor < self.base + self.txs.len() as u64 {
-            self.cursors[listener.0 as usize] = self.inbox_stop(cursor, up_to);
+            self.cursors[r] = self.inbox_stop(cursor, up_to);
         }
-        if up_to > self.drained_to[listener.0 as usize] {
-            self.drained_to[listener.0 as usize] = up_to;
+        if up_to > self.drained_to[r] {
+            self.drained_to[r] = up_to;
         }
         self.maybe_retire(false);
     }
 
-    /// [`Medium::release`] for every attached radio at once, in one
-    /// pass: O(retained + radios) instead of radios × (scan +
-    /// retirement check). This is what makes 10k-radio fleets viable —
-    /// a gateway that polls every few seconds would otherwise spend
-    /// O(radios²) per poll advancing transmit-only cursors one radio at
-    /// a time.
+    /// [`Medium::release`] for every attached radio at once, in
+    /// O(listeners): the release moves the shared floor, and only the
+    /// radios off it (listeners that drained or released since the last
+    /// call, radios attached since) are visited. Each of those is
+    /// released like the floor and rejoins it when their states agree,
+    /// which after an in-contract poll round is all of them. A gateway
+    /// that polls every few seconds therefore never walks the
+    /// transmit-only fleet.
     ///
     /// Receivers that still want frames ending by `up_to` must drain
     /// ([`Medium::take_inbox`]) *before* this is called; afterwards that
     /// history is considered consumed for everyone.
     pub fn release_all(&mut self, up_to: Instant) {
-        // The stop index is the same for every radio: the first retained
-        // transmission still in flight at `up_to`. Computing it once
-        // replaces the per-radio scan.
+        // The stop index is the same for every radio at or behind it:
+        // the first retained transmission still in flight at `up_to`.
         let boundary = self.inbox_stop(self.base, up_to);
-        for r in 0..self.radios.len() {
-            if self.cursors[r] < boundary {
-                self.cursors[r] = boundary;
+        let floor = (self.floor.0.max(boundary), self.floor.1.max(up_to));
+        self.floor = floor;
+        let (cursors, drained_to) = (&mut self.cursors, &mut self.drained_to);
+        self.off_floor.retain(|&r| {
+            let r = r as usize;
+            let own = (cursors[r].max(boundary), drained_to[r].max(up_to));
+            if own == floor {
+                cursors[r] = ON_FLOOR;
+                false
+            } else {
+                (cursors[r], drained_to[r]) = own;
+                true
             }
-            if up_to > self.drained_to[r] {
-                self.drained_to[r] = up_to;
-            }
-        }
+        });
         self.maybe_retire(true);
     }
 
@@ -688,12 +736,13 @@ impl Medium {
     /// neither delivery, collision modelling, nor in-contract carrier
     /// sense can ever observe the difference.
     ///
-    /// The O(radios) min-cursor/min-drained pass is amortized: single
-    /// cursor advances ([`Medium::take_inbox`], [`Medium::release`])
-    /// only trigger it once per `radios` calls, while
-    /// [`Medium::release_all`] — the only operation that moves *every*
-    /// cursor — forces it. A million-device fleet therefore pays the
-    /// scan once per poll round, not once per drain.
+    /// The minimum cursor and drain mark come from the floor (when any
+    /// radio sits on it) and the radios off it, so a scan is
+    /// O(listeners). Scans keep their pacing all the same, because the
+    /// moment history is retired shows in [`Medium::live_tx_count`] and
+    /// [`MediumStats::retained_high_water`]: single cursor advances
+    /// ([`Medium::take_inbox`], [`Medium::release`]) trigger one once
+    /// per `radios` calls, and [`Medium::release_all`] forces one.
     fn maybe_retire(&mut self, forced: bool) {
         if !self.bounded || self.txs.is_empty() {
             return;
@@ -703,10 +752,14 @@ impl Medium {
             return;
         }
         self.retire_skip = 0;
-        let Some(&min_cursor) = self.cursors.iter().min() else {
-            return;
-        };
-        let Some(&min_drained) = self.drained_to.iter().min() else {
+        let on_floor = (self.off_floor.len() < self.radios.len()).then_some(self.floor);
+        let Some((min_cursor, min_drained)) = self
+            .off_floor
+            .iter()
+            .map(|&r| (self.cursors[r as usize], self.drained_to[r as usize]))
+            .chain(on_floor)
+            .reduce(|a, b| (a.0.min(b.0), a.1.min(b.1)))
+        else {
             return;
         };
         // Anything ending after `horizon` may still interact with a
@@ -931,6 +984,9 @@ impl Medium {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::naive::NaiveMedium;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
 
     fn quiet_params() -> TxParams {
         TxParams {
@@ -1034,6 +1090,200 @@ mod tests {
             let fb = b.take_inbox(rb, Instant::from_secs(1));
             assert_eq!(fa, fb);
         }
+    }
+
+    /// `release_all` as it was before the floor: every radio's own
+    /// cursor and drain mark moved one by one, then one forced
+    /// retirement scan. (Per-radio [`Medium::release`] is not the same
+    /// thing: to a deadline behind a listener's last drain it can move
+    /// that listener's cursor back.)
+    fn release_each(m: &mut Medium, up_to: Instant) {
+        let boundary = m.inbox_stop(m.base, up_to);
+        for r in 0..m.radio_count() {
+            let r = m.own_state(RadioId(r as u32));
+            m.cursors[r] = m.cursors[r].max(boundary);
+            m.drained_to[r] = m.drained_to[r].max(up_to);
+        }
+        m.maybe_retire(true);
+    }
+
+    /// One step of a release-oracle program.
+    #[derive(Debug, Clone)]
+    enum ReleaseOp {
+        /// Transmit: sender, start gap (µs), airtime (µs), high power.
+        Tx(usize, u64, u64, bool),
+        /// Drain the inboxes of the radios whose bit is set.
+        Drain(u32),
+        /// Release one radio.
+        Release(usize),
+        /// Release every radio at once, this far (µs) behind the clock:
+        /// listeners that drained to the clock stay ahead of the floor.
+        ReleaseAll(u64),
+        /// Carrier sense at this offset (µs) past the clock.
+        Busy(usize, u64),
+        /// Attach a radio at this position.
+        Attach(f64, f64),
+    }
+
+    fn arb_release_op() -> impl Strategy<Value = ReleaseOp> {
+        let tx = || {
+            (0usize..16, 0u64..600, 20u64..800, any::<bool>())
+                .prop_map(|(s, gap, air, high)| ReleaseOp::Tx(s, gap, air, high))
+        };
+        prop_oneof![
+            tx(),
+            tx(),
+            tx(),
+            any::<u32>().prop_map(ReleaseOp::Drain),
+            (0usize..16).prop_map(ReleaseOp::Release),
+            Just(ReleaseOp::ReleaseAll(0)),
+            (0u64..1_000).prop_map(ReleaseOp::ReleaseAll),
+            (0usize..16, 0u64..400).prop_map(|(r, us)| ReleaseOp::Busy(r, us)),
+            (0.0f64..40.0, 0.0f64..40.0).prop_map(|(x, y)| ReleaseOp::Attach(x, y)),
+        ]
+    }
+
+    fn release_program(seed: u64, radios: usize, ops: &[ReleaseOp]) -> Result<(), TestCaseError> {
+        let model = ChannelModel::default();
+        let mut fast = Medium::new(model, seed);
+        let mut twin = Medium::new(model, seed);
+        let mut naive = NaiveMedium::new(model, seed);
+        fast.retire_consumed(true);
+        twin.retire_consumed(true);
+        let mut t = Instant::ZERO;
+        // When each radio was attached. A radio attached mid-run starts
+        // at the oldest *retained* transmission, so which frames that
+        // ended before it existed it hears depends on retirement; the
+        // naive medium, which keeps all history, is compared on the
+        // frames that end later.
+        let mut born = Vec::new();
+        let attach = |fast: &mut Medium, twin: &mut Medium, naive: &mut NaiveMedium, x, y| {
+            let cfg = RadioConfig {
+                position_m: (x, y),
+                ..Default::default()
+            };
+            let id = fast.attach(cfg);
+            assert_eq!(twin.attach(cfg), id);
+            assert_eq!(naive.attach(cfg), id);
+        };
+        for i in 0..radios {
+            attach(&mut fast, &mut twin, &mut naive, i as f64 * 7.0, 0.0);
+            born.push(t);
+        }
+        let naive_inbox = |naive: &mut NaiveMedium, born: Instant, r: RadioId, up_to: Instant| {
+            let mut frames = naive.take_inbox(r, up_to);
+            frames.retain(|f| f.at > born);
+            frames
+        };
+        let since = |frames: &[RxFrame], born: Instant| -> Vec<RxFrame> {
+            frames.iter().filter(|f| f.at > born).cloned().collect()
+        };
+        // Every drain, release and carrier-sense query is at or after
+        // the clock, and every transmission starts at it: the bounded
+        // mode's contract.
+        for (k, op) in ops.iter().enumerate() {
+            let n = fast.radio_count();
+            match *op {
+                ReleaseOp::Tx(sender, gap_us, airtime_us, high) => {
+                    t += Duration::from_us(gap_us);
+                    let from = RadioId((sender % n) as u32);
+                    let params = TxParams {
+                        airtime: Duration::from_us(airtime_us),
+                        power_dbm: if high { 10.0 } else { 0.0 },
+                        min_snr_db: 15.0,
+                    };
+                    let bytes = vec![k as u8; 8];
+                    fast.transmit(from, t, params, bytes.clone());
+                    twin.transmit(from, t, params, bytes.clone());
+                    naive.transmit(from, t, params, bytes);
+                }
+                ReleaseOp::Drain(mask) => {
+                    for r in (0..n).filter(|r| mask >> (r % 32) & 1 == 1) {
+                        let (b, r) = (born[r], RadioId(r as u32));
+                        let got = fast.take_inbox(r, t);
+                        prop_assert_eq!(&got, &twin.take_inbox(r, t));
+                        prop_assert_eq!(since(&got, b), naive_inbox(&mut naive, b, r, t));
+                    }
+                }
+                ReleaseOp::Release(r) => {
+                    let r = RadioId((r % n) as u32);
+                    fast.release(r, t);
+                    twin.release(r, t);
+                    naive.take_inbox(r, t);
+                }
+                ReleaseOp::ReleaseAll(lag_us) => {
+                    let up_to = Instant::from_nanos(t.as_nanos().saturating_sub(lag_us * 1_000));
+                    fast.release_all(up_to);
+                    release_each(&mut twin, up_to);
+                    for r in 0..n {
+                        naive.take_inbox(RadioId(r as u32), up_to);
+                    }
+                }
+                ReleaseOp::Busy(r, us) => {
+                    let (r, at) = (RadioId((r % n) as u32), t + Duration::from_us(us));
+                    let busy = fast.is_busy(r, at);
+                    prop_assert_eq!(busy, twin.is_busy(r, at));
+                    prop_assert_eq!(busy, naive.is_busy(r, at));
+                }
+                ReleaseOp::Attach(x, y) => {
+                    attach(&mut fast, &mut twin, &mut naive, x, y);
+                    born.push(t);
+                }
+            }
+            prop_assert_eq!(fast.live_tx_count(), twin.live_tx_count());
+            prop_assert_eq!(fast.retired_tx_count(), twin.retired_tx_count());
+            prop_assert_eq!(fast.stats(), twin.stats());
+        }
+        let end = t + Duration::from_secs(1);
+        for (r, &b) in born.iter().enumerate() {
+            let r = RadioId(r as u32);
+            let got = fast.take_inbox(r, end);
+            prop_assert_eq!(&got, &twin.take_inbox(r, end));
+            prop_assert_eq!(since(&got, b), naive_inbox(&mut naive, b, r, end));
+        }
+        prop_assert_eq!(fast.live_tx_count(), twin.live_tx_count());
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn release_floor_matches_per_radio_release(
+            seed in any::<u64>(),
+            radios in 1usize..8,
+            ops in prop::collection::vec(arb_release_op(), 1..160),
+        ) {
+            // Retirement and delivery under the floor must match a twin
+            // that releases radio by radio, and the frames the naive
+            // full-history medium delivers.
+            release_program(seed, radios, &ops)?;
+        }
+    }
+
+    #[test]
+    fn release_all_leaves_only_listeners_off_the_floor() {
+        let mut m = Medium::new(ChannelModel::default(), 3);
+        let radios: Vec<RadioId> = (0..100)
+            .map(|i| {
+                m.attach(RadioConfig {
+                    position_m: (i as f64, 0.0),
+                    ..Default::default()
+                })
+            })
+            .collect();
+        m.retire_consumed(true);
+        assert!(m.off_floor.is_empty(), "nothing has moved yet");
+        m.transmit(radios[1], Instant::from_ms(1), quiet_params(), vec![1]);
+        m.take_inbox(radios[0], Instant::from_ms(5));
+        assert_eq!(m.off_floor, [0]);
+        m.release_all(Instant::from_ms(5));
+        assert!(m.off_floor.is_empty(), "the listener rejoined the floor");
+        // A radio attached after a release starts at `base`, behind the
+        // floor, with its own state; the next release brings it level.
+        let late = m.attach(RadioConfig::default());
+        assert_eq!(m.off_floor, [late.0]);
+        m.take_inbox(radios[0], Instant::from_ms(9));
+        m.release_all(Instant::from_ms(8));
+        assert_eq!(m.off_floor, [radios[0].0], "drained past the release");
     }
 
     #[test]
@@ -1294,7 +1544,7 @@ mod tests {
             ..Default::default()
         };
         let mut m = Medium::new(model, 21);
-        let mut naive = crate::naive::NaiveMedium::new(model, 21);
+        let mut naive = NaiveMedium::new(model, 21);
         let gw_cfg = RadioConfig {
             position_m: (500.0, 500.0),
             sensitivity_dbm: -92.0,

@@ -1,6 +1,7 @@
 //! Property-based tests for the simulation substrate.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use wile_radio::channel::ChannelModel;
 use wile_radio::clock::DriftClock;
 use wile_radio::gilbert::GilbertElliott;
@@ -122,6 +123,205 @@ fn assert_media_equivalent(
         // The whole point of bounded mode: consumed history is gone.
         prop_assert!(fast.live_tx_count() <= traffic.len());
     }
+    Ok(())
+}
+
+/// One step of a lane-oracle program (times in milliseconds).
+#[derive(Debug, Clone)]
+enum LaneOp {
+    /// Pop this many events; a train event reschedules itself one
+    /// period after it fired.
+    Pop(usize),
+    /// Fire every event at the front instant as one batch, the way the
+    /// kernel does, then reschedule the trains among them.
+    DrainFront,
+    /// A one-shot this far after `now`: below the lane's back unless
+    /// the trains are idle, and often on a train's instant.
+    OneShot(u64),
+    /// A one-shot at exactly `now`.
+    AtNow,
+    /// A `schedule_batch` stagger of one-shots: start after `now`,
+    /// stride (possibly 0), count.
+    Batch(u64, u64, usize),
+    /// A one-shot at an absolute time: in legacy mode often in the past
+    /// (overdue), in monotonic mode clamped to `now`.
+    Absolute(u64),
+}
+
+fn arb_lane_op() -> impl Strategy<Value = LaneOp> {
+    // Repeated entries weight the draw.
+    let pop = || (1usize..4).prop_map(LaneOp::Pop);
+    let one_shot = || {
+        (0u64..24, 0u8..8).prop_map(|(d, far)| {
+            // Now and then seconds away, so the wheel cascades.
+            LaneOp::OneShot(if far == 0 { d * 1_000 } else { d })
+        })
+    };
+    prop_oneof![
+        pop(),
+        pop(),
+        Just(LaneOp::DrainFront),
+        one_shot(),
+        one_shot(),
+        Just(LaneOp::AtNow),
+        (0u64..12, 0u64..3, 0usize..6).prop_map(|(d, s, n)| LaneOp::Batch(d, s, n)),
+        (0u64..200).prop_map(LaneOp::Absolute),
+        (0u64..200).prop_map(LaneOp::Absolute),
+    ]
+}
+
+/// An [`EventQueue`] and a [`NaiveEventQueue`] driven in lockstep. The
+/// payload is a label whose low byte is the event's train period in
+/// ms (0 for a one-shot), so a popped train event knows how to
+/// reschedule itself. Trains stop at `horizon`, after which the lane
+/// can run dry while one-shots (and overdue ones) keep coming.
+struct QueueTwin {
+    fast: EventQueue<u64>,
+    slow: NaiveEventQueue<u64>,
+    monotonic: bool,
+    horizon: Instant,
+    serial: u64,
+}
+
+impl QueueTwin {
+    fn new(monotonic: bool, horizon: Instant) -> Self {
+        let mut fast = EventQueue::new();
+        let mut slow = NaiveEventQueue::new();
+        fast.assert_monotonic(monotonic);
+        slow.assert_monotonic(monotonic);
+        QueueTwin {
+            fast,
+            slow,
+            monotonic,
+            horizon,
+            serial: 0,
+        }
+    }
+
+    fn label(&mut self, period_ms: u64) -> u64 {
+        self.serial += 1;
+        self.serial << 8 | period_ms
+    }
+
+    fn schedule(&mut self, at: Instant, period_ms: u64) {
+        let label = self.label(period_ms);
+        self.fast.schedule(at, label);
+        self.slow.schedule(at, label);
+    }
+
+    fn batch(&mut self, start: Instant, stride: Duration, count: usize, period_ms: u64) {
+        let labels: Vec<u64> = (0..count).map(|_| self.label(period_ms)).collect();
+        self.fast
+            .schedule_batch(start, stride, labels.iter().copied());
+        self.slow.schedule_batch(start, stride, labels);
+    }
+
+    /// A fired train event's next wake, one period after it fired: in
+    /// monotonic mode through `schedule_after`, as the kernel's actors
+    /// do (a fired event is never overdue there).
+    fn reschedule(&mut self, at: Instant, label: u64) {
+        let period_ms = label & 0xff;
+        if period_ms == 0 || at + Duration::from_ms(period_ms) > self.horizon {
+            return;
+        }
+        let next = self.label(period_ms);
+        let period = Duration::from_ms(period_ms);
+        if self.monotonic {
+            let a = self.fast.schedule_after(at, period, next);
+            let b = self.slow.schedule_after(at, period, next);
+            assert_eq!(a, b);
+        } else {
+            self.fast.schedule(at + period, next);
+            self.slow.schedule(at + period, next);
+        }
+    }
+
+    fn pop(&mut self, reschedule: bool) -> Result<bool, TestCaseError> {
+        let (a, b) = (self.fast.pop(), self.slow.pop());
+        prop_assert_eq!(a, b);
+        match a {
+            Some((at, label)) => {
+                if reschedule {
+                    self.reschedule(at, label);
+                }
+                Ok(true)
+            }
+            None => Ok(false),
+        }
+    }
+
+    fn drain_front(&mut self, buf: &mut Vec<(Instant, u64)>) -> Result<(), TestCaseError> {
+        let Some(front) = self.slow.peek_time() else {
+            return Ok(());
+        };
+        buf.clear();
+        self.fast.drain_until_into(front, buf);
+        prop_assert_eq!(&*buf, &self.slow.drain_until(front));
+        for &(at, label) in buf.iter() {
+            self.reschedule(at, label);
+        }
+        Ok(())
+    }
+
+    fn assert_same_state(&self) -> Result<(), TestCaseError> {
+        prop_assert_eq!(self.fast.peek_time(), self.slow.peek_time());
+        prop_assert_eq!(self.fast.len(), self.slow.len());
+        prop_assert_eq!(self.fast.now(), self.slow.now());
+        Ok(())
+    }
+}
+
+/// Run one lane-oracle program: constant-period trains (the metro wake
+/// pattern, which the append lane carries) until `horizon_ms`, a
+/// `schedule_batch` fleet stagger of one more train, and `ops`
+/// interleaved with them. Every pop, drain, `peek_time`, `len` and
+/// `now` must match the heap.
+fn assert_lane_matches_naive(
+    periods: &[u64],
+    stagger: (u64, u64, usize),
+    horizon_ms: u64,
+    ops: &[LaneOp],
+    monotonic: bool,
+) -> Result<(), TestCaseError> {
+    let mut q = QueueTwin::new(monotonic, Instant::from_ms(horizon_ms));
+    for (i, &p) in periods.iter().enumerate() {
+        q.schedule(Instant::from_ms(i as u64), p);
+    }
+    let (start_ms, stride_ms, count) = stagger;
+    q.batch(
+        Instant::from_ms(start_ms),
+        Duration::from_ms(stride_ms),
+        count,
+        9,
+    );
+    q.assert_same_state()?;
+    let mut buf = Vec::new();
+    for op in ops {
+        let now = q.slow.now();
+        match *op {
+            LaneOp::Pop(n) => {
+                for _ in 0..n {
+                    q.pop(true)?;
+                    q.assert_same_state()?;
+                }
+            }
+            LaneOp::DrainFront => q.drain_front(&mut buf)?,
+            LaneOp::OneShot(d) => q.schedule(now + Duration::from_ms(d), 0),
+            LaneOp::AtNow => q.schedule(now, 0),
+            LaneOp::Batch(d, stride, n) => {
+                q.batch(now + Duration::from_ms(d), Duration::from_ms(stride), n, 0)
+            }
+            LaneOp::Absolute(ms) => {
+                let at = Instant::from_ms(ms);
+                q.schedule(if monotonic { at.max(now) } else { at }, 0);
+            }
+        }
+        q.assert_same_state()?;
+    }
+    while q.pop(false)? {
+        q.assert_same_state()?;
+    }
+    prop_assert!(q.fast.is_empty());
     Ok(())
 }
 
@@ -296,6 +496,30 @@ proptest! {
                 break;
             }
         }
+    }
+
+    #[test]
+    fn append_lane_matches_naive_heap_in_legacy_mode(
+        // Periods share small common multiples, so train wakes, one-shots
+        // and the stagger land on the same instants in the lane and in
+        // the wheel; absolute one-shots go overdue once time has moved,
+        // also after the trains stop and the lane runs dry.
+        periods in prop::collection::vec(1u64..9, 0..5),
+        stagger in (0u64..10, 0u64..3, 0usize..12),
+        horizon_ms in 0u64..150,
+        ops in prop::collection::vec(arb_lane_op(), 1..120),
+    ) {
+        assert_lane_matches_naive(&periods, stagger, horizon_ms, &ops, false)?;
+    }
+
+    #[test]
+    fn append_lane_matches_naive_heap_in_monotonic_mode(
+        periods in prop::collection::vec(1u64..9, 0..5),
+        stagger in (0u64..10, 0u64..3, 0usize..12),
+        horizon_ms in 0u64..150,
+        ops in prop::collection::vec(arb_lane_op(), 1..120),
+    ) {
+        assert_lane_matches_naive(&periods, stagger, horizon_ms, &ops, true)?;
     }
 
     #[test]

@@ -405,10 +405,11 @@ impl<E: 'static> Kernel<E> {
     }
 
     /// Schedule a homogeneous event train for `dst` — the i-th event
-    /// fires at `start + stride·i` — in one amortized pass over the
-    /// timer wheel ([`EventQueue::schedule_batch`]). This is the setup
-    /// idiom for staggering a million device wakes across one beacon
-    /// period without a million independent wheel walks.
+    /// fires at `start + stride·i` — in one pass
+    /// ([`EventQueue::schedule_batch`]); a train that starts at or after
+    /// every pending event is appended to the queue's lane whole. This
+    /// is the setup idiom for staggering a million device wakes across
+    /// one beacon period without a million independent wheel walks.
     pub fn schedule_batch(
         &mut self,
         start: Instant,

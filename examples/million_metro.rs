@@ -2,8 +2,8 @@
 //! 1 simulated hour, run twice (`WILE_WORKERS`-style worker counts 1
 //! and 4) and checked digest-identical.
 //!
-//! This is the scale witness for the PR-7 machinery: the hierarchical
-//! timer wheel absorbs a million-entry wake train, the spatially
+//! This is the scale witness for the fleet-scale machinery: the event queue's
+//! append lane carries a million-entry wake train, the spatially
 //! sharded medium keeps each gateway's inbox walk to its own
 //! neighbourhood of the transmission stream, and the
 //! structure-of-arrays fleet keeps per-device state to a few words.
